@@ -22,9 +22,10 @@
 //!    a restart on the populated root must recover every job (the
 //!    measured recovery time is reported).
 //!
-//! Writes `BENCH_server.json` (jobs/sec, p99 iteration latency, hit
-//! rate vs tenant count, journal overhead & recovery time) into
-//! [`yoso_bench::results_dir`].
+//! Writes `results/BENCH_server.json` (jobs/sec, p99 iteration latency,
+//! hit rate vs tenant count, journal overhead & recovery time): `--out`
+//! names a file inside [`yoso_bench::results_dir`], which is `results/`
+//! unless `YOSO_RESULTS_DIR` says otherwise.
 //!
 //! With `--addr HOST:PORT` the in-process server is skipped and the
 //! load is driven against an already-running `yoso_serve` daemon
@@ -37,7 +38,7 @@
 //! loadgen [--addr HOST:PORT] [--tenants 8] [--sessions 13]
 //!         [--iterations 12] [--max-jobs 8] [--threads N]
 //!         [--matmul-threads N] [--chaos-plan FILE]
-//!         [--out BENCH_server.json]
+//!         [--out BENCH_server.json]   # under results/
 //! ```
 
 use std::net::SocketAddr;

@@ -542,7 +542,8 @@ pub fn scope_for(name: &str) -> u64 {
 
 /// SplitMix64 finalizer — the same bijective mixer `yoso-pool` uses for
 /// per-item seeds, giving well-distributed, platform-independent draws.
-fn splitmix64(mut z: u64) -> u64 {
+/// Also the step of `yoso-client`'s backoff-jitter stream.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -428,16 +428,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// SplitMix64 — the same tiny deterministic generator the chaos layer
-/// draws from; here it only decorrelates backoff jitter.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl RetryPolicy {
     /// The sleep before retry `attempt` (0-based), advancing the
     /// jitter stream.
@@ -446,8 +436,11 @@ impl RetryPolicy {
             .base_delay
             .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
             .min(self.max_delay);
-        // Uniform jitter factor in [0.5, 1.5).
-        let unit = (splitmix64(jitter_state) >> 11) as f64 / (1u64 << 53) as f64;
+        // Uniform jitter factor in [0.5, 1.5), from a SplitMix64 stream:
+        // the chaos layer's mixer applied to a Weyl sequence.
+        let z = *jitter_state;
+        *jitter_state = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let unit = (yoso_chaos::splitmix64(z) >> 11) as f64 / (1u64 << 53) as f64;
         exp.mul_f64(0.5 + unit)
     }
 }
@@ -771,6 +764,21 @@ mod tests {
         }
         // The cap binds from attempt 5 on (10ms * 32 > 200ms).
         assert!(a[7] < Duration::from_millis(300));
+    }
+
+    /// Pins the default policy's jitter stream, so a change to the mixer
+    /// behind it cannot pass unnoticed.
+    #[test]
+    fn default_backoff_delays_are_pinned() {
+        let policy = RetryPolicy::default();
+        let mut state = policy.seed;
+        let delays: Vec<u128> = (0..4)
+            .map(|i| policy.backoff(i, &mut state).as_nanos())
+            .collect();
+        assert_eq!(
+            delays,
+            vec![13_471_218, 41_640_055, 86_468_186, 188_142_722]
+        );
     }
 
     #[test]

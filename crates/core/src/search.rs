@@ -68,7 +68,8 @@ impl PartialEq for QuarantineEntry {
 pub struct SearchConfig {
     /// Total candidate evaluations.
     pub iterations: usize,
-    /// Rollouts per controller update (RL only).
+    /// Rollouts per controller update for RL; also the number of points
+    /// random search draws and scores as one batch.
     pub rollouts_per_update: usize,
     /// RNG / controller-init seed.
     pub seed: u64,
@@ -118,7 +119,8 @@ impl SearchConfigBuilder {
         self
     }
 
-    /// Rollouts per controller update (RL only).
+    /// Rollouts per controller update for RL; also random search's
+    /// scoring batch.
     #[must_use]
     pub fn rollouts_per_update(mut self, n: usize) -> Self {
         self.config.rollouts_per_update = n;

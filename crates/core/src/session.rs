@@ -25,6 +25,18 @@
 //! With the default [`Trace::disabled`] sink every emission site reduces
 //! to a single pointer check, so searches pay nothing for the layer.
 //!
+//! # One search loop
+//!
+//! Every strategy runs one loop: ask the strategy for a batch of
+//! candidates, score the batch in one [`Evaluator::evaluate_batch`] call
+//! (the fast evaluator fans it out over the worker pool), then guard,
+//! trace and record each candidate in order. RL draws
+//! `rollouts_per_update` rollouts and reaches a boundary (fault budget,
+//! cancel flag, checkpoint cadence) only after each controller update.
+//! Random search draws `rollouts_per_update` points, evolution its open
+//! population slots and then one child at a time; both reach a boundary
+//! after every candidate, as a one-at-a-time search would.
+//!
 //! # Crash-safe checkpointing
 //!
 //! Give the builder [`checkpoint_every`](SearchSessionBuilder::checkpoint_every)
@@ -76,6 +88,7 @@ use crate::search::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -204,18 +217,6 @@ impl SearchEvent {
     }
 }
 
-/// Mid-run state restored from a checkpoint, applied when the session
-/// runs: the continued loop starts after the last recorded iteration.
-struct ResumeState {
-    strategy: Strategy,
-    evaluator: String,
-    update_index: u64,
-    history: Vec<SearchRecord>,
-    quarantine: Vec<QuarantineEntry>,
-    rng_state: [u64; 4],
-    controller: Option<Controller>,
-}
-
 /// A fully configured search, ready to [`run`](SearchSession::run).
 ///
 /// Construct with [`SearchSession::builder`] (or
@@ -233,10 +234,11 @@ pub struct SearchSession<'a> {
     fault_budget: Option<u64>,
     scoring: Option<ScoringPrecision>,
     cancel: Option<Arc<AtomicBool>>,
-    resume: Option<ResumeState>,
+    resume: Option<SessionCheckpoint>,
 }
 
 /// Builder for [`SearchSession`]; see the [module docs](self) example.
+#[derive(Default)]
 pub struct SearchSessionBuilder<'a> {
     evaluator: Option<&'a dyn Evaluator>,
     reward: Option<RewardConfig>,
@@ -248,7 +250,7 @@ pub struct SearchSessionBuilder<'a> {
     fault_budget: Option<u64>,
     scoring: Option<ScoringPrecision>,
     cancel: Option<Arc<AtomicBool>>,
-    resume: Option<ResumeState>,
+    resume: Option<SessionCheckpoint>,
 }
 
 impl<'a> SearchSessionBuilder<'a> {
@@ -446,19 +448,7 @@ impl<'a> SearchSessionBuilder<'a> {
 impl<'a> SearchSession<'a> {
     /// Starts an empty builder.
     pub fn builder() -> SearchSessionBuilder<'a> {
-        SearchSessionBuilder {
-            evaluator: None,
-            reward: None,
-            config: SearchConfig::default(),
-            strategy: Strategy::default(),
-            trace: Trace::disabled(),
-            checkpoint_every: None,
-            checkpoint_dir: None,
-            fault_budget: None,
-            scoring: None,
-            cancel: None,
-            resume: None,
-        }
+        SearchSessionBuilder::default()
     }
 
     /// Starts a builder preloaded from a checkpoint file: strategy,
@@ -489,15 +479,7 @@ impl<'a> SearchSession<'a> {
                 builder = builder.checkpoint_dir(dir);
             }
         }
-        builder.resume = Some(ResumeState {
-            strategy: ck.strategy,
-            evaluator: ck.evaluator,
-            update_index: ck.update_index,
-            history: ck.history,
-            quarantine: ck.quarantine,
-            rng_state: ck.rng_state,
-            controller: ck.controller,
-        });
+        builder.resume = Some(ck);
         Ok(builder)
     }
 
@@ -563,13 +545,7 @@ impl<'a> SearchSession<'a> {
                 .with_u64("tournament", self.config.tournament as u64)
                 .with_u64("seed", self.config.seed);
             if let Some(p) = self.scoring {
-                start = start.with_str(
-                    "scoring",
-                    match p {
-                        ScoringPrecision::F32 => "f32",
-                        ScoringPrecision::Int8 => "int8",
-                    },
-                );
+                start = start.with_str("scoring", p.to_string());
             }
             if let Some(res) = &self.resume {
                 start = start.with_u64("resume_iteration", res.history.len() as u64);
@@ -578,11 +554,7 @@ impl<'a> SearchSession<'a> {
         }
         let t0 = Instant::now();
         let degraded_before = self.evaluator.degraded_queries();
-        let outcome = match self.strategy {
-            Strategy::Rl => self.run_rl(degraded_before)?,
-            Strategy::Evolution => self.run_evolution(degraded_before)?,
-            Strategy::Random => self.run_random(degraded_before)?,
-        };
+        let outcome = self.search(degraded_before)?;
         if traced {
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             let mut summary = Event::new("search_summary")
@@ -715,42 +687,21 @@ impl<'a> SearchSession<'a> {
         );
     }
 
-    fn emit_iter(&self, rec: &SearchRecord, entropy: Option<f64>, fault: Option<NonFiniteMetric>) {
-        if self.trace.is_enabled() {
-            let mut e = SearchEvent::from_record(rec, entropy).to_event();
-            // The extra field appears only on quarantined iterations, so
-            // fault-free streams are unchanged byte for byte.
-            if let Some(reason) = fault {
-                e = e.with_str("quarantined", reason.name());
-            }
-            self.trace.emit(e);
-        }
-    }
-
-    /// Sleeps when an armed chaos plan injects a `SlowEval` fault; one
-    /// injection opportunity per candidate evaluation.
-    fn chaos_slow_eval(&self) {
-        if yoso_chaos::armed() {
-            if let Some(d) = yoso_chaos::eval_delay() {
-                std::thread::sleep(d);
-            }
-        }
-    }
-
     /// Scores one evaluated candidate through the non-finite guard.
     ///
     /// A clean candidate gets its composite reward; a candidate with any
     /// non-finite metric (or a chaos-poisoned reward) is quarantined: the
     /// returned record carries [`QUARANTINE_REWARD`] and a sanitized
     /// evaluation (non-finite fields zeroed, keeping the history and its
-    /// JSONL stream finite), and the raw observation plus the offending
-    /// metric come back alongside for the quarantine ledger.
+    /// JSONL stream finite), and its quarantine-ledger entry, holding the
+    /// raw observation and the offending metric, comes back alongside.
     fn guard(
         &self,
         iteration: usize,
         point: DesignPoint,
         eval: Evaluation,
-    ) -> (SearchRecord, Option<(NonFiniteMetric, Evaluation)>) {
+        actions: Option<Vec<usize>>,
+    ) -> (SearchRecord, Option<QuarantineEntry>) {
         let mut checked =
             self.reward
                 .checked_reward(eval.accuracy, eval.latency_ms, eval.energy_mj);
@@ -761,390 +712,444 @@ impl<'a> SearchSession<'a> {
                 }
             }
         }
+        let record = |eval, reward| SearchRecord {
+            iteration,
+            point,
+            eval,
+            reward,
+        };
         match checked {
-            Ok(reward) => (
-                SearchRecord {
-                    iteration,
-                    point,
-                    eval,
-                    reward,
-                },
-                None,
-            ),
+            Ok(reward) => (record(eval, reward), None),
             Err(reason) => {
                 let finite = |v: f64| if v.is_finite() { v } else { 0.0 };
-                let rec = SearchRecord {
+                let sanitized = Evaluation {
+                    accuracy: finite(eval.accuracy),
+                    latency_ms: finite(eval.latency_ms),
+                    energy_mj: finite(eval.energy_mj),
+                };
+                let entry = QuarantineEntry {
                     iteration,
                     point,
-                    eval: Evaluation {
-                        accuracy: finite(eval.accuracy),
-                        latency_ms: finite(eval.latency_ms),
-                        energy_mj: finite(eval.energy_mj),
-                    },
-                    reward: QUARANTINE_REWARD,
+                    actions,
+                    eval,
+                    reason,
                 };
-                (rec, Some((reason, eval)))
+                (record(sanitized, QUARANTINE_REWARD), Some(entry))
             }
         }
     }
 
-    /// Appends a quarantine-ledger entry for a guarded-out candidate.
-    fn push_quarantine(
-        &self,
-        outcome: &mut SearchOutcome,
-        rec: &SearchRecord,
-        raw: Evaluation,
-        reason: NonFiniteMetric,
-        actions: Option<Vec<usize>>,
-    ) {
-        if yoso_trace::enabled() {
-            yoso_trace::counter_add("session.quarantined", 1);
-        }
-        outcome.quarantine.push(QuarantineEntry {
-            iteration: rec.iteration,
-            point: rec.point,
-            actions,
-            eval: raw,
-            reason,
+    /// Builds the strategy's [`Searcher`] together with the outcome so
+    /// far — both restored from the checkpoint when resuming.
+    fn searcher(&self) -> Result<(Box<dyn Searcher>, SearchOutcome), Error> {
+        let cfg = &self.config;
+        let res = self.resume.as_ref();
+        let outcome = res.map_or_else(SearchOutcome::default, |r| {
+            SearchOutcome::from_parts(r.history.clone(), r.quarantine.clone())
         });
-    }
-
-    /// Evaluates and guards one candidate (serial strategies).
-    fn record(
-        &self,
-        iteration: usize,
-        point: DesignPoint,
-    ) -> Result<(SearchRecord, Option<(NonFiniteMetric, Evaluation)>), Error> {
-        self.chaos_slow_eval();
-        let eval = self.evaluator.evaluate(&point)?;
-        Ok(self.guard(iteration, point, eval))
-    }
-
-    /// Errors out with [`Error::FaultBudgetExhausted`] when the faults
-    /// absorbed so far (quarantined candidates + degraded evaluator
-    /// queries this run) exceed the configured budget, writing an
-    /// emergency checkpoint first when a directory is available.
-    fn check_fault_budget(
-        &self,
-        outcome: &SearchOutcome,
-        degraded_before: u64,
-        update_index: u64,
-        rng: &StdRng,
-        controller: Option<&Controller>,
-    ) -> Result<(), Error> {
-        let Some(budget) = self.fault_budget else {
-            return Ok(());
+        let rng = |salt: u64| match res {
+            Some(r) => StdRng::from_state(r.rng_state),
+            None => StdRng::seed_from_u64(cfg.seed ^ salt),
         };
-        let faults = outcome.quarantine.len() as u64
+        let space = ActionSpace::new();
+        let searcher: Box<dyn Searcher> = match self.strategy {
+            Strategy::Rl => {
+                let (controller, update_index) = match res {
+                    Some(r) => (
+                        r.controller.clone().ok_or_else(|| Error::ResumeMismatch {
+                            expected: "an RL checkpoint with a controller section".into(),
+                            found: "a checkpoint without one".into(),
+                        })?,
+                        r.update_index,
+                    ),
+                    None => {
+                        let mut ctrl_cfg =
+                            ControllerConfig::paper_default(space.vocab_sizes().to_vec());
+                        ctrl_cfg.seed = cfg.seed;
+                        (Controller::new(ctrl_cfg), 0)
+                    }
+                };
+                Box::new(RlSearcher {
+                    space,
+                    controller,
+                    rng: rng(0xABCD),
+                    batch: cfg.rollouts_per_update,
+                    update_index,
+                    pending: Vec::new(),
+                    trace: self.trace.clone(),
+                })
+            }
+            // The sliding population is a pure function of the history:
+            // its last `population` records.
+            Strategy::Evolution => Box::new(EvolutionSearcher {
+                rng: rng(0xE0_5EED),
+                population: cfg.population,
+                tournament: cfg.tournament,
+                pop: outcome.history[outcome.history.len().saturating_sub(cfg.population)..]
+                    .iter()
+                    .copied()
+                    .collect(),
+            }),
+            Strategy::Random => Box::new(RandomSearcher {
+                rng: rng(0x1234),
+                batch: cfg.rollouts_per_update.max(1),
+            }),
+        };
+        Ok((searcher, outcome))
+    }
+
+    /// The one search loop: ask the searcher for a batch, score it in one
+    /// [`Evaluator::evaluate_batch`] call, guard, trace and record each
+    /// candidate in order, and tell the searcher the batch's records. A
+    /// boundary follows every candidate, or only each batch's last one
+    /// when the searcher has a [`controller`](Searcher::controller).
+    fn search(&self, degraded_before: u64) -> Result<SearchOutcome, Error> {
+        let (mut searcher, mut outcome) = self.searcher()?;
+        let per_batch = searcher.controller().is_some();
+        let mut last_ckpt = outcome.history.len();
+        while outcome.history.len() < self.config.iterations {
+            let start = outcome.history.len();
+            let mut limit = self.config.iterations - start;
+            if !per_batch {
+                limit = limit.min(self.stop_horizon(&outcome, degraded_before, last_ckpt));
+            }
+            let draws = searcher.ask(limit)?;
+            // One `SlowEval` injection opportunity per candidate.
+            for delay in draws.iter().filter_map(|_| yoso_chaos::eval_delay()) {
+                std::thread::sleep(delay);
+            }
+            let points: Vec<DesignPoint> = draws.iter().map(|d| d.point).collect();
+            let evals = self.evaluator.evaluate_batch(&points)?;
+            for (i, (draw, eval)) in draws.into_iter().zip(evals).enumerate() {
+                let (rec, quarantined) = self.guard(start + i, draw.point, eval, draw.actions);
+                if self.trace.is_enabled() {
+                    let mut e = SearchEvent::from_record(&rec, draw.entropy).to_event();
+                    // Only quarantined iterations carry the extra field.
+                    if let Some(q) = &quarantined {
+                        e = e.with_str("quarantined", q.reason.name());
+                    }
+                    self.trace.emit(e);
+                }
+                if let Some(q) = quarantined {
+                    if yoso_trace::enabled() {
+                        yoso_trace::counter_add("session.quarantined", 1);
+                    }
+                    outcome.quarantine.push(q);
+                }
+                outcome.record(rec);
+                let last = i + 1 == points.len();
+                if last {
+                    searcher.tell(&outcome.history[start..]);
+                }
+                if last || !per_batch {
+                    self.boundary(
+                        &outcome,
+                        degraded_before,
+                        &mut last_ckpt,
+                        draw.rng_state,
+                        &*searcher,
+                    )?;
+                }
+            }
+        }
+        Ok(outcome)
+    }
+
+    /// Faults absorbed so far: quarantined candidates plus the evaluator's
+    /// degraded queries this run.
+    fn faults(&self, outcome: &SearchOutcome, degraded_before: u64) -> u64 {
+        outcome.quarantine.len() as u64
             + self
                 .evaluator
                 .degraded_queries()
-                .saturating_sub(degraded_before);
-        if faults <= budget {
-            return Ok(());
-        }
-        let checkpoint = match self.checkpoint_dir.as_ref() {
-            Some(dir) => {
-                let path = dir.join(checkpoint_file_name(outcome.history.len()));
-                CheckpointWriter {
-                    strategy: self.strategy,
-                    evaluator: self.evaluator.name(),
-                    checkpoint_every: self.checkpoint_every.unwrap_or(0),
-                    config: &self.config,
-                    reward: &self.reward,
-                    update_index,
-                    history: &outcome.history,
-                    quarantine: &outcome.quarantine,
-                    rng_state: rng.state(),
-                    controller,
-                }
-                .write_to(&path)?;
-                Some(path)
-            }
-            None => None,
-        };
-        if self.trace.is_enabled() {
-            let mut e = Event::new("fault_budget_exhausted")
-                .with_u64("faults", faults)
-                .with_u64("budget", budget);
-            if let Some(p) = &checkpoint {
-                e = e.with_str("checkpoint", p.display().to_string());
-            }
-            self.trace.emit(e);
-            self.trace.flush();
-        }
-        Err(Error::FaultBudgetExhausted {
-            faults,
-            budget,
-            checkpoint,
-        })
+                .saturating_sub(degraded_before)
     }
 
-    /// Errors out with [`Error::Canceled`] when the cancel flag has been
-    /// raised, writing a suspend checkpoint first when a directory is
-    /// available. Called at the same boundaries as the fault-budget
-    /// check, so an RL suspend checkpoint always lands on a
-    /// controller-update boundary and resumes bit-identically.
-    fn check_canceled(
+    fn canceled(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(|f| f.load(Ordering::Relaxed))
+    }
+
+    /// How many candidates a per-candidate searcher may draw so that no
+    /// boundary stops or checkpoints inside the batch: up to the next
+    /// cadence point, one while the cancel flag is up, and few enough that
+    /// the fault budget (at most a quarantine and a degraded query per
+    /// candidate) trips only on the last. Stops and checkpoints then match
+    /// a one-at-a-time search, simulator cache included.
+    fn stop_horizon(
         &self,
         outcome: &SearchOutcome,
-        update_index: u64,
-        rng: &StdRng,
-        controller: Option<&Controller>,
-    ) -> Result<(), Error> {
-        let Some(flag) = &self.cancel else {
-            return Ok(());
-        };
-        if !flag.load(Ordering::Relaxed) {
-            return Ok(());
+        degraded_before: u64,
+        last_ckpt: usize,
+    ) -> usize {
+        let mut limit = usize::MAX;
+        if let Some(every) = self.checkpoint_every {
+            limit = (last_ckpt + every).saturating_sub(outcome.history.len());
         }
-        let iterations = outcome.history.len();
-        let checkpoint = match self.checkpoint_dir.as_ref() {
-            Some(dir) => {
-                let path = dir.join(checkpoint_file_name(iterations));
-                CheckpointWriter {
-                    strategy: self.strategy,
-                    evaluator: self.evaluator.name(),
-                    checkpoint_every: self.checkpoint_every.unwrap_or(0),
-                    config: &self.config,
-                    reward: &self.reward,
-                    update_index,
-                    history: &outcome.history,
-                    quarantine: &outcome.quarantine,
-                    rng_state: rng.state(),
-                    controller,
-                }
-                .write_to(&path)?;
-                Some(path)
-            }
-            None => None,
-        };
-        if self.trace.is_enabled() {
-            let mut e = Event::new("session_canceled").with_u64("iteration", iterations as u64);
-            if let Some(p) = &checkpoint {
-                e = e.with_str("checkpoint", p.display().to_string());
-            }
-            self.trace.emit(e);
-            self.trace.flush();
+        if self.canceled() {
+            limit = 1;
         }
-        Err(Error::Canceled {
-            iterations,
-            checkpoint,
-        })
+        if let Some(budget) = self.fault_budget {
+            let slack = budget.saturating_sub(self.faults(outcome, degraded_before));
+            limit = limit.min(usize::try_from(slack.div_ceil(2)).unwrap_or(usize::MAX));
+        }
+        limit.max(1)
     }
 
-    /// Writes a checkpoint when the cadence since `last_ckpt` is due.
-    /// `completed` counts evaluated iterations (= `history.len()`).
-    fn maybe_checkpoint(
+    /// One boundary: the fault budget, then the cancel flag — each stops
+    /// the run with its error, checkpointing first when a directory is
+    /// set — then the checkpoint cadence. `rng_state` is the searcher's
+    /// stream as of the candidate just recorded.
+    fn boundary(
         &self,
-        completed: usize,
+        outcome: &SearchOutcome,
+        degraded_before: u64,
         last_ckpt: &mut usize,
-        update_index: u64,
-        outcome: &SearchOutcome,
-        rng: &StdRng,
-        controller: Option<&Controller>,
+        rng_state: [u64; 4],
+        searcher: &dyn Searcher,
     ) -> Result<(), Error> {
-        let (Some(every), Some(dir)) = (self.checkpoint_every, self.checkpoint_dir.as_ref()) else {
-            return Ok(());
-        };
-        if completed.saturating_sub(*last_ckpt) < every {
-            return Ok(());
+        let iterations = outcome.history.len();
+        let tripped = self
+            .fault_budget
+            .map(|budget| (self.faults(outcome, degraded_before), budget))
+            .filter(|(faults, budget)| faults > budget);
+        if tripped.is_some() || self.canceled() {
+            let checkpoint = match &self.checkpoint_dir {
+                Some(dir) => Some(self.write_checkpoint(dir, outcome, rng_state, searcher)?),
+                None => None,
+            };
+            if self.trace.is_enabled() {
+                let mut event = match tripped {
+                    Some((faults, budget)) => Event::new("fault_budget_exhausted")
+                        .with_u64("faults", faults)
+                        .with_u64("budget", budget),
+                    None => Event::new("session_canceled").with_u64("iteration", iterations as u64),
+                };
+                if let Some(p) = &checkpoint {
+                    event = event.with_str("checkpoint", p.display().to_string());
+                }
+                self.trace.emit(event);
+                self.trace.flush();
+            }
+            return Err(match tripped {
+                Some((faults, budget)) => Error::FaultBudgetExhausted {
+                    faults,
+                    budget,
+                    checkpoint,
+                },
+                None => Error::Canceled {
+                    iterations,
+                    checkpoint,
+                },
+            });
         }
-        CheckpointWriter {
-            strategy: self.strategy,
-            evaluator: self.evaluator.name(),
-            checkpoint_every: every,
-            config: &self.config,
-            reward: &self.reward,
-            update_index,
-            history: &outcome.history,
-            quarantine: &outcome.quarantine,
-            rng_state: rng.state(),
-            controller,
+        if let (Some(every), Some(dir)) = (self.checkpoint_every, &self.checkpoint_dir) {
+            if iterations.saturating_sub(*last_ckpt) >= every {
+                self.write_checkpoint(dir, outcome, rng_state, searcher)?;
+                *last_ckpt = iterations;
+            }
         }
-        .write_to(dir.join(checkpoint_file_name(completed)))?;
-        *last_ckpt = completed;
         Ok(())
     }
 
-    /// RL-based search (paper step 2): the LSTM controller generates
-    /// joint DNN + accelerator action sequences, the evaluator scores
-    /// them in batches, and REINFORCE steers the policy towards higher
-    /// composite reward.
-    fn run_rl(&self, degraded_before: u64) -> Result<SearchOutcome, Error> {
-        let cfg = &self.config;
-        let space = ActionSpace::new();
-        let mut outcome = SearchOutcome::default();
-        let mut update_index = 0u64;
-        let mut last_ckpt = 0usize;
-        let (mut controller, mut rng) = match &self.resume {
-            Some(res) => {
-                outcome = SearchOutcome::from_parts(res.history.clone(), res.quarantine.clone());
-                update_index = res.update_index;
-                last_ckpt = res.history.len();
-                let controller = res
-                    .controller
-                    .clone()
-                    .ok_or_else(|| Error::ResumeMismatch {
-                        expected: "an RL checkpoint with a controller section".into(),
-                        found: "a checkpoint without one".into(),
-                    })?;
-                (controller, StdRng::from_state(res.rng_state))
-            }
-            None => {
-                let mut ctrl_cfg = ControllerConfig::paper_default(space.vocab_sizes().to_vec());
-                ctrl_cfg.seed = cfg.seed;
-                (
-                    Controller::new(ctrl_cfg),
-                    StdRng::seed_from_u64(cfg.seed ^ 0xABCD),
-                )
-            }
-        };
-        let mut iteration = outcome.history.len();
-        while iteration < cfg.iterations {
-            let batch_n = cfg.rollouts_per_update.min(cfg.iterations - iteration);
-            let rollouts: Vec<Rollout> =
-                (0..batch_n).map(|_| controller.sample(&mut rng)).collect();
-            let mut points: Vec<DesignPoint> = Vec::with_capacity(batch_n);
-            for r in &rollouts {
-                points.push(space.decode(&r.actions)?);
-            }
-            for _ in 0..points.len() {
-                self.chaos_slow_eval();
-            }
-            let evals = self.evaluator.evaluate_batch(&points)?;
-            let mut batch: Vec<(Rollout, f64)> = Vec::with_capacity(batch_n);
-            for (rollout, (point, eval)) in rollouts.into_iter().zip(points.into_iter().zip(evals))
-            {
-                let entropy = rollout.entropy;
-                let (rec, fault) = self.guard(iteration, point, eval);
-                self.emit_iter(&rec, Some(entropy), fault.map(|(m, _)| m));
-                match fault {
-                    // Quarantined rollouts never reach REINFORCE: learning
-                    // from a sentinel reward would poison the baseline.
-                    Some((reason, raw)) => {
-                        self.push_quarantine(&mut outcome, &rec, raw, reason, Some(rollout.actions))
-                    }
-                    None => batch.push((rollout, rec.reward)),
-                }
-                outcome.record(rec);
-                iteration += 1;
-            }
-            // An all-quarantined batch skips the update entirely — the
-            // policy neither learns from faults nor asserts on an empty
-            // batch; the update index still advances so the checkpoint
-            // cadence is unaffected.
-            if !batch.is_empty() {
-                let stats = controller.update(&batch);
-                if self.trace.is_enabled() {
-                    self.trace.emit(
-                        Event::new("controller_update")
-                            .with_u64("update", update_index)
-                            .with_u64("iteration", iteration as u64)
-                            .with_f64("mean_reward", stats.mean_reward)
-                            .with_f64("baseline", stats.baseline)
-                            .with_f64("grad_norm", stats.grad_norm as f64)
-                            .with_f64("mean_entropy", stats.mean_entropy),
-                    );
-                }
-            }
-            update_index += 1;
-            self.check_fault_budget(
-                &outcome,
-                degraded_before,
-                update_index,
-                &rng,
-                Some(&controller),
-            )?;
-            self.check_canceled(&outcome, update_index, &rng, Some(&controller))?;
-            self.maybe_checkpoint(
-                iteration,
-                &mut last_ckpt,
-                update_index,
-                &outcome,
-                &rng,
-                Some(&controller),
-            )?;
+    /// Writes the session state as of the last recorded candidate to
+    /// `dir`, named after the iteration count; returns the file path.
+    fn write_checkpoint(
+        &self,
+        dir: &Path,
+        outcome: &SearchOutcome,
+        rng_state: [u64; 4],
+        searcher: &dyn Searcher,
+    ) -> Result<PathBuf, Error> {
+        let path = dir.join(checkpoint_file_name(outcome.history.len()));
+        let controller = searcher.controller();
+        CheckpointWriter {
+            strategy: self.strategy,
+            evaluator: self.evaluator.name(),
+            checkpoint_every: self.checkpoint_every.unwrap_or(0),
+            config: &self.config,
+            reward: &self.reward,
+            update_index: controller.map_or(0, |(_, u)| u),
+            history: &outcome.history,
+            quarantine: &outcome.quarantine,
+            rng_state,
+            controller: controller.map(|(c, _)| c),
         }
-        Ok(outcome)
+        .write_to(&path)?;
+        Ok(path)
+    }
+}
+
+/// One candidate drawn by a [`Searcher`].
+struct Draw {
+    point: DesignPoint,
+    /// The searcher's RNG state right after this draw: what a checkpoint
+    /// taken at this candidate records, even when later points of the
+    /// same batch were already drawn (and are then dropped unrecorded).
+    rng_state: [u64; 4],
+    /// Summed controller entropy of the rollout (RL only).
+    entropy: Option<f64>,
+    /// The rollout's action sequence, for the quarantine ledger (RL only).
+    actions: Option<Vec<usize>>,
+}
+
+impl Draw {
+    /// A plain draw, taken just after `point` came out of `rng`.
+    fn new(point: DesignPoint, rng: &StdRng) -> Self {
+        Draw {
+            point,
+            rng_state: rng.state(),
+            entropy: None,
+            actions: None,
+        }
+    }
+}
+
+/// `n` independent uniform draws from the joint space.
+fn uniform_draws(rng: &mut StdRng, n: usize) -> Vec<Draw> {
+    (0..n)
+        .map(|_| Draw::new(DesignPoint::random(rng), rng))
+        .collect()
+}
+
+/// A search strategy as the session loop drives it: `ask` for a batch of
+/// candidates, which the loop scores in one
+/// [`Evaluator::evaluate_batch`] call, then `tell` it their records.
+trait Searcher {
+    /// Draws between 1 and `limit` candidates (`limit >= 1`) to score as
+    /// one batch.
+    fn ask(&mut self, limit: usize) -> Result<Vec<Draw>, Error>;
+
+    /// Hands back the guarded records of the last batch, in order;
+    /// quarantined candidates carry [`QUARANTINE_REWARD`].
+    fn tell(&mut self, _records: &[SearchRecord]) {}
+
+    /// The controller and the REINFORCE updates applied to it so far
+    /// (RL only). A searcher with a controller is checkpointed only
+    /// between updates, so its boundaries wait for the end of each batch
+    /// instead of following every candidate.
+    fn controller(&self) -> Option<(&Controller, u64)> {
+        None
+    }
+}
+
+/// RL search (paper step 2): the LSTM controller samples joint DNN +
+/// accelerator action sequences, `rollouts_per_update` per batch, and
+/// REINFORCE steers the policy towards higher composite reward once per
+/// batch.
+struct RlSearcher {
+    space: ActionSpace,
+    controller: Controller,
+    rng: StdRng,
+    batch: usize,
+    update_index: u64,
+    /// The rollouts of the batch in flight, consumed by `tell`.
+    pending: Vec<Rollout>,
+    trace: Trace,
+}
+
+impl Searcher for RlSearcher {
+    fn ask(&mut self, limit: usize) -> Result<Vec<Draw>, Error> {
+        self.pending.clear();
+        let mut draws = Vec::with_capacity(self.batch.min(limit));
+        for _ in 0..self.batch.min(limit) {
+            let rollout = self.controller.sample(&mut self.rng);
+            draws.push(Draw {
+                entropy: Some(rollout.entropy),
+                actions: Some(rollout.actions.clone()),
+                ..Draw::new(self.space.decode(&rollout.actions)?, &self.rng)
+            });
+            self.pending.push(rollout);
+        }
+        Ok(draws)
     }
 
-    /// Regularized-evolution search (Real et al., the AmoebaNet method
-    /// cited as \[9\]): tournament selection over a sliding population
-    /// with single-symbol mutation through the action codec.
-    fn run_evolution(&self, degraded_before: u64) -> Result<SearchOutcome, Error> {
-        let cfg = &self.config;
-        let mut outcome = SearchOutcome::default();
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE0_5EED);
-        let mut last_ckpt = 0usize;
-        let mut pop: std::collections::VecDeque<SearchRecord> = std::collections::VecDeque::new();
-        if let Some(res) = &self.resume {
-            outcome = SearchOutcome::from_parts(res.history.clone(), res.quarantine.clone());
-            last_ckpt = res.history.len();
-            rng = StdRng::from_state(res.rng_state);
-            // The sliding population is a pure function of the history:
-            // replay the push/evict sequence to rebuild it (the Pareto
-            // archive is rebuilt the same way inside `from_parts`).
-            for rec in &outcome.history {
-                pop.push_back(*rec);
-                if pop.len() > cfg.population {
-                    pop.pop_front();
-                }
+    fn tell(&mut self, records: &[SearchRecord]) {
+        // Quarantined rollouts never reach REINFORCE: learning from a
+        // sentinel reward would poison the baseline. An all-quarantined
+        // batch skips the update entirely; the update index still
+        // advances so the checkpoint cadence is unaffected.
+        let batch: Vec<(Rollout, f64)> = self
+            .pending
+            .drain(..)
+            .zip(records)
+            .filter(|(_, rec)| rec.reward != QUARANTINE_REWARD)
+            .map(|(rollout, rec)| (rollout, rec.reward))
+            .collect();
+        if !batch.is_empty() {
+            let stats = self.controller.update(&batch);
+            if self.trace.is_enabled() {
+                let iteration = records.last().map_or(0, |r| r.iteration + 1);
+                self.trace.emit(
+                    Event::new("controller_update")
+                        .with_u64("update", self.update_index)
+                        .with_u64("iteration", iteration as u64)
+                        .with_f64("mean_reward", stats.mean_reward)
+                        .with_f64("baseline", stats.baseline)
+                        .with_f64("grad_norm", stats.grad_norm as f64)
+                        .with_f64("mean_entropy", stats.mean_entropy),
+                );
             }
         }
-        for iteration in outcome.history.len()..cfg.iterations {
-            let (rec, fault) = if pop.len() < cfg.population {
-                self.record(iteration, DesignPoint::random(&mut rng))?
-            } else {
-                // Tournament: sample `tournament` members, mutate the
-                // fittest. Quarantined members carry the sentinel reward,
-                // so they can sit in the population but never win.
-                let parent = (0..cfg.tournament)
-                    .map(|_| &pop[rand::RngExt::random_range(&mut rng, 0..pop.len())])
-                    .max_by(|a, b| a.reward.total_cmp(&b.reward))
-                    .expect("tournament > 0");
-                let child = parent.point.mutate(&mut rng);
-                self.record(iteration, child)?
-            };
-            self.emit_iter(&rec, None, fault.map(|(m, _)| m));
-            if let Some((reason, raw)) = fault {
-                self.push_quarantine(&mut outcome, &rec, raw, reason, None);
-            }
-            pop.push_back(rec);
-            if pop.len() > cfg.population {
-                pop.pop_front(); // regularization: age-based removal
-            }
-            outcome.record(rec);
-            self.check_fault_budget(&outcome, degraded_before, 0, &rng, None)?;
-            self.check_canceled(&outcome, 0, &rng, None)?;
-            self.maybe_checkpoint(iteration + 1, &mut last_ckpt, 0, &outcome, &rng, None)?;
-        }
-        Ok(outcome)
+        self.update_index += 1;
     }
 
-    /// Uniform random search over the joint space.
-    fn run_random(&self, degraded_before: u64) -> Result<SearchOutcome, Error> {
-        let cfg = &self.config;
-        let mut outcome = SearchOutcome::default();
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x1234);
-        let mut last_ckpt = 0usize;
-        if let Some(res) = &self.resume {
-            outcome = SearchOutcome::from_parts(res.history.clone(), res.quarantine.clone());
-            last_ckpt = res.history.len();
-            rng = StdRng::from_state(res.rng_state);
+    fn controller(&self) -> Option<(&Controller, u64)> {
+        Some((&self.controller, self.update_index))
+    }
+}
+
+/// Regularized evolution (Real et al., the AmoebaNet method cited as
+/// \[9\]): tournament selection over a sliding population with
+/// single-symbol mutation through the action codec.
+struct EvolutionSearcher {
+    rng: StdRng,
+    population: usize,
+    tournament: usize,
+    pop: VecDeque<SearchRecord>,
+}
+
+impl Searcher for EvolutionSearcher {
+    fn ask(&mut self, limit: usize) -> Result<Vec<Draw>, Error> {
+        // Filling the population: independent uniform draws, all at once.
+        let fill = self.population - self.pop.len();
+        if fill > 0 {
+            return Ok(uniform_draws(&mut self.rng, fill.min(limit)));
         }
-        for iteration in outcome.history.len()..cfg.iterations {
-            let (rec, fault) = self.record(iteration, DesignPoint::random(&mut rng))?;
-            self.emit_iter(&rec, None, fault.map(|(m, _)| m));
-            if let Some((reason, raw)) = fault {
-                self.push_quarantine(&mut outcome, &rec, raw, reason, None);
+        // Tournament: sample `tournament` members, mutate the fittest.
+        // Quarantined members carry the sentinel reward, so they can sit
+        // in the population but never win. Each child depends on the
+        // previous push, so children come one at a time.
+        let parent = (0..self.tournament)
+            .map(|_| &self.pop[rand::RngExt::random_range(&mut self.rng, 0..self.pop.len())])
+            .max_by(|a, b| a.reward.total_cmp(&b.reward))
+            .expect("tournament > 0")
+            .point;
+        let child = parent.mutate(&mut self.rng);
+        Ok(vec![Draw::new(child, &self.rng)])
+    }
+
+    fn tell(&mut self, records: &[SearchRecord]) {
+        for rec in records {
+            self.pop.push_back(*rec);
+            if self.pop.len() > self.population {
+                self.pop.pop_front(); // regularization: age-based removal
             }
-            outcome.record(rec);
-            self.check_fault_budget(&outcome, degraded_before, 0, &rng, None)?;
-            self.check_canceled(&outcome, 0, &rng, None)?;
-            self.maybe_checkpoint(iteration + 1, &mut last_ckpt, 0, &outcome, &rng, None)?;
         }
-        Ok(outcome)
+    }
+}
+
+/// Uniform random search (the Fig. 6(a) baseline), drawing
+/// `rollouts_per_update` points per batch.
+struct RandomSearcher {
+    rng: StdRng,
+    batch: usize,
+}
+
+impl Searcher for RandomSearcher {
+    fn ask(&mut self, limit: usize) -> Result<Vec<Draw>, Error> {
+        Ok(uniform_draws(&mut self.rng, self.batch.min(limit)))
     }
 }
 
@@ -1171,99 +1176,114 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn sessions_are_deterministic_per_strategy() {
-        let (ev, rc) = setup();
-        let cfg = SearchConfig::builder()
-            .iterations(40)
-            .rollouts_per_update(4)
-            .seed(6)
-            .population(16)
-            .tournament(4)
-            .build();
-        for strategy in [Strategy::Rl, Strategy::Evolution, Strategy::Random] {
-            let run = || {
-                SearchSession::builder()
-                    .evaluator(&ev)
-                    .reward(rc)
-                    .config(cfg.clone())
-                    .strategy(strategy)
-                    .run()
-                    .unwrap()
-            };
-            let first = run();
-            assert_eq!(first, run(), "{strategy} diverged between identical runs");
-            assert_eq!(first.history.len(), 40);
-        }
+    fn session<'a>(
+        ev: &'a dyn Evaluator,
+        rc: RewardConfig,
+        strategy: Strategy,
+        cfg: &SearchConfig,
+    ) -> SearchSessionBuilder<'a> {
+        SearchSession::builder()
+            .evaluator(ev)
+            .reward(rc)
+            .strategy(strategy)
+            .config(cfg.clone())
     }
 
+    fn iter_lines(trace: &Trace) -> Vec<String> {
+        trace
+            .lines()
+            .into_iter()
+            .filter(|l| l.contains("\"search_iter\""))
+            .collect()
+    }
+
+    /// A cancel raised while a batch is being scored stops the run at the
+    /// next boundary: the end of the batch for RL, the batch's first
+    /// candidate for random search and evolution. The suspend checkpoint
+    /// holds the RNG stream as of the last recorded candidate, not the
+    /// batch's last draw, so the resumed run and the stitched
+    /// `search_iter` stream equal the uninterrupted ones.
     #[test]
     fn cancel_flag_suspends_and_resume_completes_identically() {
+        struct RaiseOnBatch {
+            inner: SurrogateEvaluator,
+            flag: Arc<AtomicBool>,
+            batches: std::sync::atomic::AtomicUsize,
+            raise_at: usize,
+        }
+        impl Evaluator for RaiseOnBatch {
+            fn evaluate(&self, p: &DesignPoint) -> Result<Evaluation, Error> {
+                self.inner.evaluate(p)
+            }
+            fn evaluate_batch(&self, points: &[DesignPoint]) -> Result<Vec<Evaluation>, Error> {
+                if self.batches.fetch_add(1, Ordering::Relaxed) == self.raise_at {
+                    self.flag.store(true, Ordering::Relaxed);
+                }
+                self.inner.evaluate_batch(points)
+            }
+            fn name(&self) -> &'static str {
+                self.inner.name()
+            }
+        }
         let (ev, rc) = setup();
         let cfg = SearchConfig::builder()
             .iterations(30)
             .rollouts_per_update(5)
             .seed(11)
+            .population(6)
+            .tournament(3)
             .build();
-        let full_trace = Trace::memory();
-        let full = SearchSession::builder()
-            .evaluator(&ev)
-            .reward(rc)
-            .config(cfg.clone())
-            .strategy(Strategy::Rl)
-            .trace(full_trace.clone())
-            .run()
-            .unwrap();
-
-        // Raise the flag from a watcher thread once a few events exist;
-        // the session stops at the next update boundary with a suspend
-        // checkpoint.
-        let dir = temp_dir("cancel");
-        let flag = Arc::new(AtomicBool::new(true)); // pre-raised: stops ASAP
-        let suspended_trace = Trace::memory();
-        let err = SearchSession::builder()
-            .evaluator(&ev)
-            .reward(rc)
-            .config(cfg.clone())
-            .strategy(Strategy::Rl)
-            .checkpoint_dir(&dir)
-            .cancel_flag(Arc::clone(&flag))
-            .trace(suspended_trace.clone())
-            .run()
-            .unwrap_err();
-        let Error::Canceled {
-            iterations,
-            checkpoint: Some(ckpt),
-        } = err
-        else {
-            panic!("expected Canceled with checkpoint, got {err:?}");
-        };
-        assert_eq!(iterations, 5, "stops at the first update boundary");
-        assert!(suspended_trace
-            .lines()
-            .iter()
-            .any(|l| l.contains("\"session_canceled\"")));
-
-        // Resume with the flag lowered: the combined search_iter stream
-        // is byte-identical to the uninterrupted run.
-        let resumed_trace = Trace::memory();
-        let resumed = SearchSession::resume_from(&ckpt)
-            .unwrap()
-            .evaluator(&ev)
-            .trace(resumed_trace.clone())
-            .run()
-            .unwrap();
-        assert_eq!(resumed, full, "resumed outcome diverged");
-        let iter_lines = |t: &Trace| {
-            t.lines()
-                .into_iter()
-                .filter(|l| l.contains("\"search_iter\""))
-                .collect::<Vec<_>>()
-        };
-        let mut stitched = iter_lines(&suspended_trace);
-        stitched.extend(iter_lines(&resumed_trace));
-        assert_eq!(stitched, iter_lines(&full_trace));
-        std::fs::remove_dir_all(&dir).unwrap();
+        // RL and random search score 5 candidates per batch; evolution
+        // fills its population of 6 in one batch.
+        for (strategy, raise_at, stop_at) in [
+            (Strategy::Rl, 0, 5),
+            (Strategy::Random, 1, 6),
+            (Strategy::Evolution, 0, 1),
+        ] {
+            let full_trace = Trace::memory();
+            let full = session(&ev, rc, strategy, &cfg)
+                .trace(full_trace.clone())
+                .run()
+                .unwrap();
+            let dir = temp_dir(&format!("cancel-{strategy}"));
+            let raising = RaiseOnBatch {
+                inner: SurrogateEvaluator::new(NetworkSkeleton::tiny()),
+                flag: Arc::new(AtomicBool::new(false)),
+                batches: Default::default(),
+                raise_at,
+            };
+            let suspended_trace = Trace::memory();
+            let err = session(&raising, rc, strategy, &cfg)
+                .checkpoint_dir(&dir)
+                .cancel_flag(Arc::clone(&raising.flag))
+                .trace(suspended_trace.clone())
+                .run()
+                .unwrap_err();
+            let Error::Canceled {
+                iterations,
+                checkpoint: Some(ckpt),
+            } = err
+            else {
+                panic!("{strategy}: expected Canceled with checkpoint, got {err:?}");
+            };
+            assert_eq!(iterations, stop_at, "{strategy}");
+            assert!(suspended_trace
+                .lines()
+                .iter()
+                .any(|l| l.contains("\"session_canceled\"")));
+            let resumed_trace = Trace::memory();
+            let resumed = SearchSession::resume_from(&ckpt)
+                .unwrap()
+                .evaluator(&ev)
+                .trace(resumed_trace.clone())
+                .run()
+                .unwrap();
+            assert_eq!(resumed, full, "{strategy}: resumed outcome diverged");
+            let mut stitched = iter_lines(&suspended_trace);
+            stitched.extend(iter_lines(&resumed_trace));
+            assert_eq!(stitched, iter_lines(&full_trace), "{strategy}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -1316,27 +1336,14 @@ mod tests {
     }
 
     #[test]
-    fn strategy_from_name_round_trips() {
-        for s in [Strategy::Rl, Strategy::Evolution, Strategy::Random] {
-            assert_eq!(Strategy::from_name(s.name()), Some(s));
-        }
-        assert_eq!(Strategy::from_name("bogus"), None);
-    }
-
-    #[test]
     fn traced_session_emits_one_event_per_iteration() {
         let (ev, rc) = setup();
         let trace = Trace::memory();
-        let out = SearchSession::builder()
-            .evaluator(&ev)
-            .reward(rc)
-            .config(
-                SearchConfig::builder()
-                    .iterations(25)
-                    .rollouts_per_update(5)
-                    .build(),
-            )
-            .strategy(Strategy::Rl)
+        let cfg = SearchConfig::builder()
+            .iterations(25)
+            .rollouts_per_update(5)
+            .build();
+        let out = session(&ev, rc, Strategy::Rl, &cfg)
             .trace(trace.clone())
             .run()
             .unwrap();
@@ -1369,47 +1376,34 @@ mod tests {
         }
     }
 
+    /// Every strategy scores through the pool: the outcome and the
+    /// `search_iter` stream are the same at 1 and 8 worker threads (and
+    /// so between any two identical runs).
     #[test]
     fn search_iter_stream_is_thread_count_invariant() {
         let (ev, rc) = setup();
-        let run_with = |threads: usize| {
-            yoso_pool::set_num_threads(threads);
-            let trace = Trace::memory();
-            SearchSession::builder()
-                .evaluator(&ev)
-                .reward(rc)
-                .config(
-                    SearchConfig::builder()
-                        .iterations(30)
-                        .rollouts_per_update(6)
-                        .seed(3)
-                        .build(),
-                )
-                .strategy(Strategy::Rl)
-                .trace(trace.clone())
-                .run()
-                .unwrap();
-            yoso_pool::set_num_threads(0);
-            trace
-                .lines()
-                .into_iter()
-                .filter(|l| l.contains("\"search_iter\""))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run_with(1), run_with(8));
-    }
-
-    #[test]
-    fn untraced_session_emits_nothing() {
-        let (ev, rc) = setup();
-        let out = SearchSession::builder()
-            .evaluator(&ev)
-            .reward(rc)
-            .config(SearchConfig::builder().iterations(10).build())
-            .strategy(Strategy::Random)
-            .run()
-            .unwrap();
-        assert_eq!(out.history.len(), 10);
+        let cfg = SearchConfig::builder()
+            .iterations(30)
+            .rollouts_per_update(6)
+            .seed(3)
+            .population(8)
+            .tournament(3)
+            .build();
+        for strategy in [Strategy::Rl, Strategy::Evolution, Strategy::Random] {
+            let run_with = |threads: usize| {
+                yoso_pool::set_num_threads(threads);
+                let trace = Trace::memory();
+                let outcome = session(&ev, rc, strategy, &cfg)
+                    .trace(trace.clone())
+                    .run()
+                    .unwrap();
+                yoso_pool::set_num_threads(0);
+                (outcome, iter_lines(&trace))
+            };
+            let (outcome, lines) = run_with(1);
+            assert_eq!(lines.len(), 30, "{strategy}");
+            assert_eq!((outcome, lines), run_with(8), "{strategy}");
+        }
     }
 
     #[test]
@@ -1444,41 +1438,45 @@ mod tests {
         assert!(matches!(err, Some(Error::InvalidConfig(_))), "{err:?}");
     }
 
+    /// Resuming from every checkpoint replays the rest of the run. The
+    /// last two cases checkpoint every 5 candidates while random search
+    /// scores 4 at a time and evolution fills its population of 6 at
+    /// once, so the cadence cuts across their batches.
     #[test]
     fn resumed_runs_match_uninterrupted_runs() {
         let (ev, rc) = setup();
-        for (strategy, tag) in [
-            (Strategy::Rl, "rl"),
-            (Strategy::Evolution, "evo"),
-            (Strategy::Random, "rand"),
+        for (strategy, tag, every, population) in [
+            (Strategy::Rl, "rl", 12, 8),
+            (Strategy::Evolution, "evo", 12, 8),
+            (Strategy::Random, "rand", 12, 8),
+            (Strategy::Evolution, "evo-mid", 5, 6),
+            (Strategy::Random, "rand-mid", 5, 6),
         ] {
             let dir = temp_dir(tag);
             let cfg = SearchConfig::builder()
                 .iterations(24)
                 .rollouts_per_update(4)
                 .seed(17)
-                .population(8)
+                .population(population)
                 .tournament(3)
                 .build();
-            let full = SearchSession::builder()
-                .evaluator(&ev)
-                .reward(rc)
-                .config(cfg.clone())
-                .strategy(strategy)
-                .checkpoint_every(12)
+            let full = session(&ev, rc, strategy, &cfg)
+                .checkpoint_every(every)
                 .checkpoint_dir(&dir)
                 .run()
                 .unwrap();
-            let ckpt = dir.join(checkpoint_file_name(12));
-            assert!(ckpt.exists(), "{strategy}: checkpoint at 12 missing");
-            // Simulated SIGKILL: the session object is gone; rebuild
-            // everything from the on-disk snapshot.
-            let resumed = SearchSession::resume_from(&ckpt)
-                .unwrap()
-                .evaluator(&ev)
-                .run()
-                .unwrap();
-            assert_eq!(resumed, full, "{strategy}: resumed run diverged");
+            for at in (every..24).step_by(every) {
+                let ckpt = dir.join(checkpoint_file_name(at));
+                assert!(ckpt.exists(), "{tag}: checkpoint at {at} missing");
+                // Simulated SIGKILL: the session object is gone; rebuild
+                // everything from the on-disk snapshot.
+                let resumed = SearchSession::resume_from(&ckpt)
+                    .unwrap()
+                    .evaluator(&ev)
+                    .run()
+                    .unwrap();
+                assert_eq!(resumed, full, "{tag}: run resumed at {at} diverged");
+            }
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -1487,15 +1485,13 @@ mod tests {
     fn resume_rejects_mismatched_evaluator_and_strategy() {
         let (ev, rc) = setup();
         let dir = temp_dir("mismatch");
-        SearchSession::builder()
-            .evaluator(&ev)
-            .reward(rc)
-            .config(SearchConfig::builder().iterations(10).seed(1).build())
-            .strategy(Strategy::Random)
+        let cfg = SearchConfig::builder().iterations(10).seed(1).build();
+        let out = session(&ev, rc, Strategy::Random, &cfg)
             .checkpoint_every(5)
             .checkpoint_dir(&dir)
             .run()
             .unwrap();
+        assert_eq!(out.history.len(), 10);
         let ckpt = dir.join(checkpoint_file_name(5));
         // Wrong strategy: override after resume_from.
         let err = SearchSession::resume_from(&ckpt)
@@ -1529,11 +1525,8 @@ mod tests {
     fn corrupted_checkpoint_resume_is_a_typed_error() {
         let (ev, rc) = setup();
         let dir = temp_dir("corrupt");
-        SearchSession::builder()
-            .evaluator(&ev)
-            .reward(rc)
-            .config(SearchConfig::builder().iterations(8).seed(2).build())
-            .strategy(Strategy::Random)
+        let cfg = SearchConfig::builder().iterations(8).seed(2).build();
+        session(&ev, rc, Strategy::Random, &cfg)
             .checkpoint_every(4)
             .checkpoint_dir(&dir)
             .run()
@@ -1579,5 +1572,9 @@ mod tests {
         assert_eq!(Strategy::Evolution.to_string(), "evolution");
         assert_eq!(Strategy::Random.to_string(), "random");
         assert_eq!(Strategy::default(), Strategy::Rl);
+        for s in [Strategy::Rl, Strategy::Evolution, Strategy::Random] {
+            assert_eq!(Strategy::from_name(s.name()), Some(s));
+        }
+        assert_eq!(Strategy::from_name("bogus"), None);
     }
 }
