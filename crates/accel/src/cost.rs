@@ -5,10 +5,8 @@
 //! global-buffer access ≈ 6x, DRAM access ≈ 200x. Absolute values are pJ
 //! for a 16-bit word at a 28 nm-class node.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-access energy costs and machine rates used by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Bytes per operand word (16-bit fixed point).
     pub word_bytes: f64,

@@ -1,10 +1,9 @@
 //! Simulation outputs: per-layer and whole-network performance reports.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Energy breakdown by memory-hierarchy level (all in pJ).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// MAC / vector arithmetic energy.
     pub compute_pj: f64,
@@ -35,7 +34,7 @@ impl EnergyBreakdown {
 }
 
 /// Simulation result for one layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
     /// Layer name (from the [`yoso_arch::LayerSpec`]).
     pub name: String,
@@ -56,7 +55,7 @@ pub struct LayerReport {
 }
 
 /// Whole-network simulation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PerfReport {
     /// End-to-end inference latency in milliseconds.
     pub latency_ms: f64,

@@ -15,11 +15,10 @@
 
 use crate::cost::CostModel;
 use crate::report::{EnergyBreakdown, LayerReport, PerfReport};
-use serde::{Deserialize, Serialize};
 use yoso_arch::{Dataflow, HwConfig, LayerKind, LayerSpec, NetworkPlan};
 
 /// Simulation fidelity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fidelity {
     /// Exhaustive tiling search (slow, used for ground truth and final
     /// candidate ranking — paper step 3).

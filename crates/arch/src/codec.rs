@@ -10,7 +10,6 @@ use crate::genotype::{CellGenotype, Genotype, NodeGene, INTERNAL_NODES};
 use crate::hw::{Dataflow, HwConfig, GBUF_MENU_KB, PE_MENU, RBUF_MENU_B};
 use crate::op::Op;
 use crate::space::DesignPoint;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Total sequence length (`S + L = 44` in the paper).
@@ -66,7 +65,7 @@ impl std::error::Error for DecodeActionError {}
 /// Step layout:
 /// `[normal cell: 5 nodes x (in1, op1, in2, op2)] ++ [reduction cell: same]
 ///  ++ [pe, g_buf, r_buf, dataflow]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ActionSpace {
     vocab: Vec<usize>,
 }

@@ -8,7 +8,6 @@
 
 use crate::op::Op;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of nodes per cell (paper: `B = 7`).
@@ -24,7 +23,7 @@ pub const DNN_PARAMS: usize = 2 * PARAMS_PER_CELL;
 
 /// Configuration of one internal node: two input nodes and the operation
 /// applied to each (Eq. 5 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeGene {
     /// Index of the first input node (must be `<` this node's index).
     pub in1: usize,
@@ -37,7 +36,7 @@ pub struct NodeGene {
 }
 
 /// Genotype of one cell: the five internal nodes in order (indices 2..=6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellGenotype {
     /// Internal node genes; entry `i` configures node `i + 2`.
     pub nodes: [NodeGene; INTERNAL_NODES],
@@ -118,7 +117,7 @@ impl fmt::Display for CellGenotype {
 
 /// Full network genotype: a normal cell and a reduction cell (shared by
 /// every instance of the respective kind, as in NASNet/DARTS/the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Genotype {
     /// Stride-1 cell repeated at constant resolution.
     pub normal: CellGenotype,

@@ -6,11 +6,10 @@
 //! dataflows (WS, OS, RS, NLR).
 
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dataflow (loop-ordering / operand-stationarity) of the systolic array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Dataflow {
     /// Weight stationary: weights pinned in PE registers.
     Ws,
@@ -56,7 +55,7 @@ impl fmt::Display for Dataflow {
 }
 
 /// Processing-element array dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PeArray {
     /// Rows of PEs.
     pub rows: usize,
@@ -100,7 +99,7 @@ pub const GBUF_MENU_KB: [usize; 6] = [108, 128, 196, 256, 512, 1024];
 pub const RBUF_MENU_B: [usize; 5] = [64, 128, 256, 512, 1024];
 
 /// One accelerator configuration: a point in the hardware design space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HwConfig {
     /// PE array dimensions.
     pub pe: PeArray,

@@ -5,11 +5,10 @@
 //! architecture evaluated for accuracy is exactly the one simulated for
 //! latency/energy.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Pooling flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Maximum pooling.
     Max,
@@ -18,7 +17,7 @@ pub enum PoolKind {
 }
 
 /// Shape-level description of one layer's computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Dense 2-D convolution.
     Conv {
@@ -66,7 +65,7 @@ pub enum LayerKind {
 }
 
 /// One layer of the compiled network, with concrete spatial dimensions.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LayerSpec {
     /// Human-readable name (e.g. `cell3.n4.op1.dw`).
     pub name: String,
@@ -161,7 +160,7 @@ impl fmt::Display for LayerSpec {
 }
 
 /// Aggregate statistics of a compiled network, used as predictor features.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NetworkStats {
     /// Total MACs per inference.
     pub total_macs: u64,

@@ -4,11 +4,10 @@
 //! `DWconv3x3`, `DWconv5x5`, max pooling and average pooling, with ReLU as
 //! the only activation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the six candidate operations on a cell edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Op {
     /// Standard 3x3 convolution (ReLU-Conv-BN).
     Conv3,

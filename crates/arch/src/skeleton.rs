@@ -5,11 +5,10 @@
 use crate::genotype::{CellGenotype, Genotype, NODES_PER_CELL};
 use crate::layer::{LayerKind, LayerSpec, NetworkStats, PoolKind};
 use crate::op::Op;
-use serde::{Deserialize, Serialize};
 
 /// Macro-architecture parameters: everything about the network that is
 /// *not* searched (paper §IV-B: 6 blocks — 4 normal + 2 reduction cells).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkSkeleton {
     /// Input image height/width (square).
     pub input_hw: usize,
@@ -179,7 +178,7 @@ impl NetworkSkeleton {
 }
 
 /// Concrete plan of one cell instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellPlan {
     /// Position of this cell in the stack.
     pub index: usize,
@@ -349,7 +348,7 @@ impl CellPlan {
 }
 
 /// A fully compiled network: the cells plus the flat layer workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkPlan {
     /// The skeleton used for compilation.
     pub skeleton: NetworkSkeleton,

@@ -4,13 +4,12 @@ use crate::genotype::{Genotype, INTERNAL_NODES};
 use crate::hw::HwConfig;
 use crate::op::Op;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One candidate solution of the joint search: a network genotype plus an
 /// accelerator configuration. This is what the RL controller emits per
 /// rollout and what the evaluator scores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DesignPoint {
     /// The DNN half.
     pub genotype: Genotype,

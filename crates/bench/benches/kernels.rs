@@ -24,7 +24,6 @@ const GEMM_SHAPES: &[(&str, usize, usize, usize)] = &[
 ];
 
 fn bench_gemm(c: &mut Criterion) {
-    yoso_tensor::set_matmul_threads(1);
     let mut rng = StdRng::seed_from_u64(0);
     let mut group = c.benchmark_group("gemm");
     for &(name, m, k, n) in GEMM_SHAPES {
@@ -50,7 +49,6 @@ fn bench_gemm(c: &mut Criterion) {
 }
 
 fn bench_conv(c: &mut Criterion) {
-    yoso_tensor::set_matmul_threads(1);
     let mut rng = StdRng::seed_from_u64(1);
     let x = Tensor::randn(&[8, 16, 16, 16], 1.0, &mut rng);
     let w = Tensor::he_normal(&[16, 16, 3, 3], 16 * 9, &mut rng);

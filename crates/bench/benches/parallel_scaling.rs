@@ -1,6 +1,6 @@
 //! Scaling of the evaluation pipeline's parallel and memoized paths:
 //! worker-pool sample collection (cold vs warm simulator cache), batched
-//! vs per-point GP prediction, and the threaded SGEMM kernels.
+//! vs per-point GP prediction.
 //!
 //! `cargo bench -p yoso-bench --bench parallel_scaling`. The checked-in
 //! `BENCH_parallel.json` snapshot comes from the `bench_parallel` bin,
@@ -63,22 +63,6 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     group.bench_function("gp_predict_batch_x64", |b| {
         b.iter(|| black_box(predictor.predict_batch(&points)))
     });
-
-    // Threaded SGEMM (M-dimension slabs; bit-exact at any worker count).
-    let (m, k, n) = (256usize, 256usize, 256usize);
-    let a: Vec<f32> = (0..m * k).map(|i| (i % 13) as f32 * 0.25 - 1.0).collect();
-    let bmat: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 * 0.5 - 1.5).collect();
-    let mut cbuf = vec![0.0f32; m * n];
-    for threads in [1usize, 0] {
-        group.bench_with_input(BenchmarkId::new("sgemm_256", threads), &threads, |b, &t| {
-            yoso_tensor::set_matmul_threads(t);
-            b.iter(|| {
-                yoso_tensor::matmul::sgemm(m, k, n, &a, &bmat, &mut cbuf);
-                black_box(cbuf[0])
-            })
-        });
-    }
-    yoso_tensor::set_matmul_threads(1);
     group.finish();
 }
 

@@ -3,10 +3,7 @@
 //!
 //! * packed register-tiled SGEMM vs the reference blocked kernel on the
 //!   im2col panel shapes a HyperNet training step actually produces
-//!   (same thread count for both — the win is per-core);
-//! * the runtime-dispatched SIMD microkernel vs the forced-scalar tier;
-//! * multi-threaded NC-panel SGEMM vs one matmul thread (gated: only
-//!   asserted on multi-core machines);
+//!   (both serial — the win is per-core);
 //! * a full conv2d forward+backward training step under both kernels;
 //! * the u8xi8 integer GEMM vs f32 SGEMM on the same shapes;
 //! * end-to-end HyperNet candidate scoring, f32 vs int8;
@@ -15,9 +12,8 @@
 //! * the inducing-point sparse GP vs the exact GP, fit + batch predict
 //!   at n = 4000 (past the exact model's usual training cap).
 //!
-//! Targets: >= 2x on the GEMM/conv shapes, >= 2x multi-core scaling
-//! (when cores > 1), >= 1.5x int8 scoring, >= 5x on the GP refit,
-//! >= 5x on the sparse-vs-exact fit+predict.
+//! Targets: >= 2x on the GEMM/conv shapes, >= 1.5x int8 scoring, >= 5x
+//! on the GP refit, >= 5x on the sparse-vs-exact fit+predict.
 //!
 //! Usage: `cargo run --release -p yoso-bench --bin bench_kernels --
 //!   [--iters 40] [--seed 0] [--out BENCH_kernels.json]`
@@ -32,10 +28,7 @@ use yoso_predictor::{GaussianProcess, Regressor, SparseGaussianProcess};
 use yoso_tensor::conv::{conv2d_backward_scratch, conv2d_forward_scratch};
 use yoso_tensor::matmul::sgemm;
 use yoso_tensor::quant::{gemm_q, quantize_activations};
-use yoso_tensor::{
-    quant_tier, set_kernel, set_simd_tier, simd_tier, ConvGeom, KernelKind, QuantWeights, Scratch,
-    SimdTier, Tensor,
-};
+use yoso_tensor::{set_kernel, ConvGeom, KernelKind, QuantWeights, Scratch, Tensor};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -79,17 +72,7 @@ fn real_main() -> Result<(), Error> {
         .unwrap_or_else(|| "BENCH_kernels.json".into());
     let mut rng = StdRng::seed_from_u64(seed);
 
-    // Equal thread count for every comparison: the claim is per-core.
-    yoso_tensor::set_matmul_threads(1);
-    println!(
-        "kernel dispatch: simd tier {}, quant tier {}",
-        simd_tier(),
-        quant_tier()
-    );
-    println!(
-        "gemm: packed vs reference, {} threads, {iters} iters/shape",
-        yoso_tensor::matmul_threads()
-    );
+    println!("gemm: packed vs reference, {iters} iters/shape");
     let mut shape_rows = Vec::new();
     let mut log_sum = 0.0;
     for &(name, m, k, n) in GEMM_SHAPES {
@@ -115,71 +98,6 @@ fn real_main() -> Result<(), Error> {
     }
     let gemm_geomean = (log_sum / GEMM_SHAPES.len() as f64).exp();
     println!("  geometric-mean speedup: {gemm_geomean:.2}x (target: >= 2x)");
-
-    // Runtime SIMD dispatch vs the forced-scalar tier of the same packed
-    // kernel. The scalar tier still auto-vectorizes under
-    // `-C target-cpu=native`, so this measures what the explicit
-    // intrinsics buy on top, not SIMD-vs-no-SIMD. Informational (no
-    // assertion): equal is acceptable, slower is not expected.
-    println!(
-        "simd: packed kernel, auto tier ({}) vs forced scalar",
-        simd_tier()
-    );
-    let mut simd_log_sum = 0.0;
-    let mut simd_rows = Vec::new();
-    for &(name, m, k, n) in GEMM_SHAPES {
-        let a: Vec<f32> = (0..m * k).map(|_| rng.random_range(-1.0..1.0)).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.random_range(-1.0..1.0)).collect();
-        let mut c = vec![0.0f32; m * n];
-        set_simd_tier(Some(SimdTier::Scalar));
-        let scalar_ms = bench_ms(iters, || {
-            sgemm(m, k, n, &a, &b, &mut c);
-            std::hint::black_box(&c);
-        });
-        set_simd_tier(None);
-        let auto_ms = bench_ms(iters, || {
-            sgemm(m, k, n, &a, &b, &mut c);
-            std::hint::black_box(&c);
-        });
-        let ratio = scalar_ms / auto_ms;
-        simd_log_sum += ratio.ln();
-        println!(
-            "  {name:>18}: scalar {scalar_ms:.2} ms, {} {auto_ms:.2} ms ({ratio:.2}x)",
-            simd_tier()
-        );
-        simd_rows.push(format!(
-            "      {{ \"name\": \"{name}\", \"scalar_ms\": {scalar_ms:.3}, \"simd_ms\": {auto_ms:.3}, \"ratio\": {ratio:.2} }}"
-        ));
-    }
-    let simd_geomean = (simd_log_sum / GEMM_SHAPES.len() as f64).exp();
-    println!("  geometric-mean simd/scalar: {simd_geomean:.2}x");
-
-    // Multi-threaded NC-panel scaling: one shape large enough to expose
-    // several row-block x panel tasks, packed kernel, 1 matmul thread vs
-    // all cores. The task grid is fixed so the result is bit-exact at
-    // any thread count; only the 2x scaling claim is core-gated.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (mm, mk, mn) = (256usize, 256usize, 2048usize);
-    let a: Vec<f32> = (0..mm * mk).map(|_| rng.random_range(-1.0..1.0)).collect();
-    let b: Vec<f32> = (0..mk * mn).map(|_| rng.random_range(-1.0..1.0)).collect();
-    let mut c = vec![0.0f32; mm * mn];
-    let mt_iters = iters.div_ceil(8).max(2);
-    yoso_tensor::set_matmul_threads(1);
-    let mt_serial_ms = bench_ms(mt_iters, || {
-        sgemm(mm, mk, mn, &a, &b, &mut c);
-        std::hint::black_box(&c);
-    });
-    yoso_tensor::set_matmul_threads(0); // all cores
-    let mt_parallel_ms = bench_ms(mt_iters, || {
-        sgemm(mm, mk, mn, &a, &b, &mut c);
-        std::hint::black_box(&c);
-    });
-    yoso_tensor::set_matmul_threads(1);
-    let mt_speedup = mt_serial_ms / mt_parallel_ms;
-    println!(
-        "gemm-mt {mm}x{mk}x{mn}: 1 thread {mt_serial_ms:.2} ms, {cores} cores {mt_parallel_ms:.2} ms ({mt_speedup:.2}x{})",
-        if cores > 1 { ", target >= 2x" } else { ", single core: scaling not asserted" }
-    );
 
     // Full conv training step (forward + backward) on a mid-network
     // layer, scratch reused for both kernels so the kernel is the only
@@ -305,10 +223,7 @@ fn real_main() -> Result<(), Error> {
     // packed kernel on the same im2col shapes. Quantization of weights
     // is excluded (done once per candidate); activation quantization is
     // included (paid per batch).
-    println!(
-        "int8 gemm: u8xi8 ({}) vs f32 packed, same shapes",
-        quant_tier()
-    );
+    println!("int8 gemm: u8xi8 vs f32 packed, same shapes");
     let mut q_log_sum = 0.0;
     let mut q_rows = Vec::new();
     for &(name, m, k, n) in GEMM_SHAPES {
@@ -389,13 +304,9 @@ fn real_main() -> Result<(), Error> {
 
     let meta = bench_meta_json(2);
     let json = format!(
-        "{{\n  \"bench\": \"compute kernels\",\n  {meta},\n  \"gemm\": {{\n    \"threads\": 1,\n    \"iters\": {iters},\n    \"shapes\": [\n{}\n    ],\n    \"geomean_speedup\": {gemm_geomean:.2}\n  }},\n  \"simd\": {{\n    \"tier\": \"{}\",\n    \"shapes\": [\n{}\n    ],\n    \"geomean_vs_scalar\": {simd_geomean:.2}\n  }},\n  \"gemm_mt\": {{\n    \"m\": {mm}, \"k\": {mk}, \"n\": {mn},\n    \"serial_ms\": {mt_serial_ms:.3},\n    \"parallel_ms\": {mt_parallel_ms:.3},\n    \"speedup\": {mt_speedup:.2},\n    \"asserted\": {}\n  }},\n  \"conv2d_step\": {{\n    \"input\": [{cn}, {cin}, {chw}, {chw}],\n    \"cout\": {cout},\n    \"kernel\": {ck},\n    \"reference_ms\": {conv_ref_ms:.2},\n    \"packed_ms\": {conv_packed_ms:.2},\n    \"speedup\": {conv_speedup:.2}\n  }},\n  \"gp_incremental\": {{\n    \"initial\": {n0},\n    \"final\": {n_final},\n    \"chunk\": {chunk},\n    \"dims\": {dims},\n    \"refit_per_chunk_ms\": {refit_ms:.1},\n    \"incremental_ms\": {incremental_ms:.1},\n    \"speedup\": {gp_speedup:.2},\n    \"max_mean_abs_diff\": {max_diff:.3e}\n  }},\n  \"gp_sparse\": {{\n    \"n\": {sp_n},\n    \"dims\": {dims},\n    \"inducing\": {},\n    \"exact_ms\": {sp_exact_ms:.1},\n    \"sparse_ms\": {sp_sparse_ms:.1},\n    \"speedup\": {sp_speedup:.2},\n    \"spearman\": {sp_spearman:.3}\n  }},\n  \"int8_gemm\": {{\n    \"tier\": \"{}\",\n    \"shapes\": [\n{}\n    ],\n    \"geomean_speedup\": {int8_gemm_geomean:.2}\n  }},\n  \"int8_scoring\": {{\n    \"candidates\": {},\n    \"f32_ms_per_candidate\": {f32_score_ms:.2},\n    \"int8_ms_per_candidate\": {int8_score_ms:.2},\n    \"speedup\": {score_speedup:.2}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"compute kernels\",\n  {meta},\n  \"gemm\": {{\n    \"iters\": {iters},\n    \"shapes\": [\n{}\n    ],\n    \"geomean_speedup\": {gemm_geomean:.2}\n  }},\n  \"conv2d_step\": {{\n    \"input\": [{cn}, {cin}, {chw}, {chw}],\n    \"cout\": {cout},\n    \"kernel\": {ck},\n    \"reference_ms\": {conv_ref_ms:.2},\n    \"packed_ms\": {conv_packed_ms:.2},\n    \"speedup\": {conv_speedup:.2}\n  }},\n  \"gp_incremental\": {{\n    \"initial\": {n0},\n    \"final\": {n_final},\n    \"chunk\": {chunk},\n    \"dims\": {dims},\n    \"refit_per_chunk_ms\": {refit_ms:.1},\n    \"incremental_ms\": {incremental_ms:.1},\n    \"speedup\": {gp_speedup:.2},\n    \"max_mean_abs_diff\": {max_diff:.3e}\n  }},\n  \"gp_sparse\": {{\n    \"n\": {sp_n},\n    \"dims\": {dims},\n    \"inducing\": {},\n    \"exact_ms\": {sp_exact_ms:.1},\n    \"sparse_ms\": {sp_sparse_ms:.1},\n    \"speedup\": {sp_speedup:.2},\n    \"spearman\": {sp_spearman:.3}\n  }},\n  \"int8_gemm\": {{\n    \"shapes\": [\n{}\n    ],\n    \"geomean_speedup\": {int8_gemm_geomean:.2}\n  }},\n  \"int8_scoring\": {{\n    \"candidates\": {},\n    \"f32_ms_per_candidate\": {f32_score_ms:.2},\n    \"int8_ms_per_candidate\": {int8_score_ms:.2},\n    \"speedup\": {score_speedup:.2}\n  }}\n}}\n",
         shape_rows.join(",\n"),
-        simd_tier(),
-        simd_rows.join(",\n"),
-        cores > 1,
         sp_sparse.inducing_len(),
-        quant_tier(),
         q_rows.join(",\n"),
         genos.len(),
     );
@@ -426,12 +337,6 @@ fn real_main() -> Result<(), Error> {
         sp_spearman >= 0.9,
         "sparse GP rank agreement {sp_spearman:.3} below 0.9 at n={sp_n}"
     );
-    if cores > 1 {
-        assert!(
-            mt_speedup >= 2.0,
-            "multi-threaded gemm speedup {mt_speedup:.2}x below the 2x target on {cores} cores"
-        );
-    }
     assert!(
         score_speedup >= 1.5,
         "int8 scoring speedup {score_speedup:.2}x below the 1.5x target"

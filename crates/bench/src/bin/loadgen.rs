@@ -37,7 +37,7 @@
 //! ```text
 //! loadgen [--addr HOST:PORT] [--tenants 8] [--sessions 13]
 //!         [--iterations 12] [--max-jobs 8] [--threads N]
-//!         [--matmul-threads N] [--chaos-plan FILE]
+//!         [--chaos-plan FILE]
 //!         [--out BENCH_server.json]   # under results/
 //! ```
 

@@ -74,8 +74,8 @@ pub fn read_csv(name: &str) -> std::io::Result<(Vec<String>, Vec<Vec<String>>)> 
 }
 
 /// Build/runtime provenance block shared by every `BENCH_*.json`
-/// emitter: detected core count, the matmul and worker-pool thread
-/// settings in effect, and the build profile. Without this a snapshot
+/// emitter: detected core count, the worker-pool thread setting in
+/// effect, and the build profile. Without this a snapshot
 /// number is uninterpretable — a 2x speedup measured on one core in a
 /// debug build is a different claim than the same ratio in release on
 /// eight.
@@ -93,11 +93,8 @@ pub fn bench_meta_json(indent: usize) -> String {
         "release"
     };
     format!(
-        "\"meta\": {{\n{inner}\"cores\": {cores},\n{inner}\"matmul_threads\": {},\n{inner}\"pool_threads\": {},\n{inner}\"simd_tier\": \"{}\",\n{inner}\"quant_tier\": \"{}\",\n{inner}\"profile\": \"{profile}\"\n{pad}}}",
-        yoso_tensor::matmul_threads(),
+        "\"meta\": {{\n{inner}\"cores\": {cores},\n{inner}\"pool_threads\": {},\n{inner}\"profile\": \"{profile}\"\n{pad}}}",
         yoso_pool::num_threads(),
-        yoso_tensor::simd_tier(),
-        yoso_tensor::quant_tier(),
     )
 }
 
@@ -120,7 +117,7 @@ pub fn run_main(body: impl FnOnce() -> Result<(), yoso_core::Error>) {
 /// The flag surface shared by every bench binary, parsed once.
 ///
 /// Centralizes the flags each driver used to scan for by hand —
-/// `--threads`, `--matmul-threads`, `--trace-out`, `--chaos-plan`,
+/// `--threads`, `--trace-out`, `--chaos-plan`,
 /// `--scoring` — plus typed accessors for bin-specific flags, so a new
 /// binary gets the whole shared surface from two lines:
 ///
@@ -218,20 +215,13 @@ impl Args {
         self.value("--pareto-out").map(PathBuf::from)
     }
 
-    /// Applies the shared thread flags and returns the resolved worker
-    /// count:
-    ///
-    /// * `--threads <n>` sizes the global worker pool (candidate-level
-    ///   parallelism: rollout fan-out, batched evaluation);
-    /// * `--matmul-threads <n>` independently sizes the packed-GEMM
-    ///   panel parallelism inside a single matmul
-    ///   ([`yoso_tensor::set_matmul_threads`]).
-    ///
-    /// `0` or an absent flag means "all cores" for both. Both settings
-    /// are recorded in every `BENCH_*.json` via [`bench_meta_json`].
+    /// Applies `--threads <n>`, which sizes the global worker pool
+    /// (candidate-level parallelism: rollout fan-out, batched
+    /// evaluation), and returns the resolved worker count. `0` or an
+    /// absent flag means "all cores". The setting is recorded in every
+    /// `BENCH_*.json` via [`bench_meta_json`].
     pub fn configure_threads(&self) -> usize {
         yoso_pool::set_num_threads(self.usize("--threads", 0));
-        yoso_tensor::set_matmul_threads(self.usize("--matmul-threads", 0));
         yoso_pool::num_threads()
     }
 
@@ -578,7 +568,6 @@ mod tests {
         let meta = bench_meta_json(2);
         assert!(meta.starts_with("\"meta\": {"));
         assert!(meta.contains("\"cores\":"));
-        assert!(meta.contains("\"matmul_threads\":"));
         assert!(meta.contains("\"pool_threads\":"));
         assert!(
             meta.contains("\"profile\": \"debug\"") || meta.contains("\"profile\": \"release\"")

@@ -6,8 +6,6 @@
 //! is typeset ambiguously; both plausible readings are implemented (see
 //! [`RewardForm`]) and compared by an ablation bench.
 
-use serde::{Deserialize, Serialize};
-
 /// Which input (or the computed reward itself) was non-finite — the
 /// quarantine signal returned by [`RewardConfig::checked_reward`].
 ///
@@ -46,7 +44,7 @@ impl std::fmt::Display for NonFiniteMetric {
 }
 
 /// Which algebraic form of Eq. 2 to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewardForm {
     /// MnasNet-style weighted product (default):
     /// `R = A * [α1 (l/t_lat)^ω1 + α2 (e/t_eer)^ω2]`.
@@ -58,7 +56,7 @@ pub enum RewardForm {
 
 /// User thresholds on the hardware metrics (paper §IV-A: energy within
 /// 9 mJ and latency within 1.2 ms).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constraints {
     /// Latency threshold `t_lat` in ms.
     pub t_lat_ms: f64,
@@ -82,7 +80,7 @@ impl Constraints {
 }
 
 /// Reward configuration: the four constants of Eq. 2 plus thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardConfig {
     /// Latency weight `α1`.
     pub alpha1: f64,

@@ -37,8 +37,8 @@
 //! assert!(store.all_finite());
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module (and only it) opts back
-// in with `#![allow(unsafe_code)]` for the runtime-dispatched intrinsics.
+// `deny` rather than `forbid`: the u8 im2col lowerings in `quant` opt
+// back in with `#[allow(unsafe_code)]` for their raw-pointer row copies.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -49,19 +49,14 @@ pub mod optim;
 pub mod param;
 pub mod quant;
 pub mod scratch;
-#[cfg(all(target_arch = "x86_64", not(yoso_force_scalar)))]
-pub(crate) mod simd;
 pub mod snapshot;
 pub mod tensor;
 
 pub use conv::ConvGeom;
 pub use graph::{accuracy, batch_norm_forward, Graph, Var};
-pub use matmul::{
-    kernel_kind, num_threads as matmul_threads, set_kernel, set_num_threads as set_matmul_threads,
-    set_simd_tier, simd_tier, KernelKind, SimdTier,
-};
+pub use matmul::{kernel_kind, set_kernel, KernelKind};
 pub use optim::{Adam, CosineLr, Sgd};
 pub use param::{ParamId, ParamStore};
-pub use quant::{quant_tier, set_quant_tier, QuantTier, QuantWeights};
+pub use quant::QuantWeights;
 pub use scratch::Scratch;
 pub use tensor::Tensor;

@@ -10,47 +10,32 @@
 //!   linearly regardless of the original row stride (or transposition).
 //! * **A packing** — each `MR x KC` tile of `a` is packed column-major
 //!   (`p`-major), so one microkernel step reads `MR` consecutive floats.
-//! * **Microkernel** — an `MR x NR` register block accumulates
-//!   `kc` rank-1 updates. Three implementations sit behind a runtime
-//!   dispatch cached in a `OnceLock` ([`simd_tier`]): explicit AVX-512F
-//!   intrinsics (one zmm per tile row), explicit AVX2+FMA (the tile as
-//!   two 4-row halves), and a portable scalar loop the compiler
-//!   auto-vectorizes. Detection is runtime-only — no `target-cpu` build
-//!   flag is required for the fast paths.
+//! * **Microkernel** — an `MR x NR` register block accumulates `kc`
+//!   rank-1 updates in a portable loop with fixed-size inner loops.
+//!   LLVM auto-vectorises it for the host ISA because the workspace
+//!   builds with `target-cpu=native` (`.cargo/config.toml`); there is
+//!   no runtime dispatch and no `std::arch` code.
 //!
 //! Packing buffers live in thread-local scratch, so steady-state GEMM
 //! calls are allocation-free.
 //!
-//! ## Threading: a fixed task grid over `c`
+//! ## Blocks of `c`
 //!
-//! The packed path fans out over `RB`-row x `NC`-column blocks of `c`
-//! (the same `NC` split the packing loop uses). Each task accumulates
-//! its block in a private zero-initialised buffer over the *full* depth
-//! `k`, and the buffers are added into `c` afterwards. The grid never
-//! depends on the worker count and every output element is owned by
-//! exactly one task, with its `k` terms accumulated in increasing-`k`
-//! order (blocked only by the fixed `KC` boundary) — so results are
-//! **bit-exact at any thread count**, including 1. Threading is off by
-//! default ([`set_num_threads`]\(1\)) because the training workloads
-//! here multiply small panels where a fork/join per GEMM costs more than
-//! it saves; benches and large workloads opt in explicitly. The
-//! reference kernel keeps its original row-slab fan-out.
+//! The packed path walks `RB`-row x `NC`-column blocks of `c` (the same
+//! `NC` split the packing loop uses). Each block is accumulated in a
+//! zero-initialised buffer over the *full* depth `k`, in increasing-`k`
+//! order (blocked only by the fixed `KC` boundary), and the buffer is
+//! then added into `c`. Accumulating straight into `c` would round
+//! differently whenever `c` starts non-zero and `k > KC`. Every kernel
+//! is serial: parallelism lives one level up, where the worker pool
+//! scores whole candidates.
 
-// The internal packing/slab routines take the full block geometry as
+// The internal packing routines take the full block geometry as
 // scalars; bundling them into structs would only obscure the BLIS shape.
 #![allow(clippy::too_many_arguments)]
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-/// Worker count for the packed task-grid / reference row-slab fan-out.
-/// `1` = serial (default); `0` = follow the pool-wide default
-/// ([`yoso_pool::num_threads`]).
-static MATMUL_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Minimum `m * k * n` before threading is worth a fork/join.
-const PAR_MIN_FLOPS: usize = 1 << 16;
 
 /// Which SGEMM implementation the public entry points dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,150 +71,22 @@ pub fn kernel_kind() -> KernelKind {
     }
 }
 
-/// Sets the worker count for the SGEMM kernels in this module.
-///
-/// `1` (the default) keeps every kernel serial; `0` defers to the
-/// pool-wide default. Results are bit-exact at any setting.
-pub fn set_num_threads(n: usize) {
-    MATMUL_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// The configured SGEMM worker count (resolving `0` to the pool default).
-pub fn num_threads() -> usize {
-    match MATMUL_THREADS.load(Ordering::Relaxed) {
-        0 => yoso_pool::num_threads(),
-        n => n,
-    }
-}
-
-/// Workers actually used by the reference kernel's row-slab fan-out:
-/// the knob, capped by rows and floored at 1, with small products kept
-/// serial. (The packed path caps by its task-grid size instead.)
-fn resolve_threads(m: usize, k: usize, n: usize) -> usize {
-    if m.saturating_mul(k).saturating_mul(n) < PAR_MIN_FLOPS {
-        return 1;
-    }
-    num_threads().clamp(1, m.max(1))
-}
-
-// ---------------------------------------------------------------------------
-// SIMD tier dispatch
-// ---------------------------------------------------------------------------
-
-/// Instruction tier the packed microkernel dispatches to at runtime.
-///
-/// Ordered from weakest to strongest; [`set_simd_tier`] treats a
-/// requested tier as a *cap*, never a promotion past what the CPU
-/// reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SimdTier {
-    /// Portable scalar microkernel (the compiler may still
-    /// auto-vectorize it when built with target features enabled).
-    Scalar,
-    /// Explicit 256-bit AVX2 + FMA intrinsics (x86-64 only, detected at
-    /// runtime).
-    Avx2Fma,
-    /// Explicit 512-bit AVX-512F intrinsics (x86-64 only, detected at
-    /// runtime).
-    Avx512,
-}
-
-impl std::fmt::Display for SimdTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SimdTier::Scalar => "scalar",
-            SimdTier::Avx2Fma => "avx2+fma",
-            SimdTier::Avx512 => "avx512",
-        })
-    }
-}
-
-/// Forced tier cap: `0` = auto (detected), otherwise `1 + tier rank`.
-/// A cap can only select *below* detection; forcing above it would be
-/// unsound.
-static SIMD_FORCE: AtomicUsize = AtomicUsize::new(0);
-
-/// The best tier this CPU supports, probed once.
-static SIMD_DETECTED: OnceLock<SimdTier> = OnceLock::new();
-
-fn tier_rank(tier: SimdTier) -> usize {
-    match tier {
-        SimdTier::Scalar => 0,
-        SimdTier::Avx2Fma => 1,
-        SimdTier::Avx512 => 2,
-    }
-}
-
-fn tier_from_rank(rank: usize) -> SimdTier {
-    match rank {
-        0 => SimdTier::Scalar,
-        1 => SimdTier::Avx2Fma,
-        _ => SimdTier::Avx512,
-    }
-}
-
-fn detect_simd_tier() -> SimdTier {
-    #[cfg(all(target_arch = "x86_64", not(yoso_force_scalar)))]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return SimdTier::Avx512;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return SimdTier::Avx2Fma;
-        }
-    }
-    SimdTier::Scalar
-}
-
-/// Caps the microkernel tier. `Some(Scalar)` forces the portable kernel
-/// (benches use this as the comparison baseline; tests use it to pin
-/// SIMD/scalar agreement); `Some(Avx2Fma)` runs the 256-bit kernel even
-/// on AVX-512 hardware; `None` restores runtime detection. Requests are
-/// clamped to what the CPU supports, so capping at a tier the machine
-/// lacks still runs the best available one below it.
-pub fn set_simd_tier(tier: Option<SimdTier>) {
-    SIMD_FORCE.store(
-        match tier {
-            None => 0,
-            Some(t) => 1 + tier_rank(t),
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The microkernel tier the next GEMM will use: the detected best tier
-/// (cached after the first probe), lowered to the [`set_simd_tier`] cap
-/// when one is set.
-pub fn simd_tier() -> SimdTier {
-    let detected = *SIMD_DETECTED.get_or_init(detect_simd_tier);
-    match SIMD_FORCE.load(Ordering::Relaxed) {
-        0 => detected,
-        cap => tier_from_rank((cap - 1).min(tier_rank(detected))),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Packed microkernel
 // ---------------------------------------------------------------------------
 
-/// Microkernel tile height (rows of `c` held in registers). Eight rows
-/// give the AVX-512 tier one zmm accumulator per row — eight
-/// independent FMA chains, enough to hide FMA latency on both ports.
-/// The AVX2 tier can't hold 8 x 16 in ymm registers, so it runs the
-/// tile as two 4-row halves (see `simd::microkernel_f32_avx2fma`).
-pub const MR: usize = 8;
+/// Microkernel tile height (rows of `c` held in registers): eight
+/// independent FMA chains, enough to hide FMA latency.
+const MR: usize = 8;
 /// Microkernel tile width (columns of `c` held in registers).
-pub const NR: usize = 16;
+const NR: usize = 16;
 /// Depth blocking: `KC x NR` B panels stay cache-resident while every
-/// row tile of the current task visits them.
+/// row tile of the current block visits them.
 const KC: usize = 128;
 /// Column blocking: B is packed (or walked) `NC` columns at a time, and
-/// the task grid splits `c` on the same boundary.
+/// the blocks of `c` split on the same boundary.
 const NC: usize = 256;
-/// Rows of `c` per parallel task (a few `MR` tiles). Together with the
-/// `NC` column split this fixes the task grid independently of the
-/// worker count.
+/// Rows of `c` per block (a few `MR` tiles).
 const RB: usize = 64;
 
 thread_local! {
@@ -237,19 +94,14 @@ thread_local! {
     /// GEMM call on this thread, so steady state allocates nothing.
     static PACK_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
-    /// Per-thread task-local accumulation buffer for the serial path
-    /// (parallel tasks allocate their own, amortized by larger work).
+    /// Per-thread accumulation buffer for one block of `c`.
     static C_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Fused multiply-add `a * b + c` when the build target has hardware FMA
-/// (one rounding, matching the explicit SIMD kernel bit-for-bit); plain
-/// multiply-add otherwise, where `mul_add` would fall back to a slow
-/// libm call. Which branch is taken is a build-wide constant, so the
-/// scalar path rounds identically everywhere in the process; only the
-/// runtime-dispatched SIMD kernel can differ from it (by at most one
-/// rounding per FMA), and the property tests pin the two together on
-/// exact-representable inputs.
+/// (one rounding); plain multiply-add otherwise, where `mul_add` would
+/// fall back to a slow libm call. Which branch is taken is a build-wide
+/// constant, so the kernel rounds identically everywhere in the process.
 #[inline(always)]
 fn fmadd(a: f32, b: f32, c: f32) -> f32 {
     #[cfg(target_feature = "fma")]
@@ -262,7 +114,7 @@ fn fmadd(a: f32, b: f32, c: f32) -> f32 {
     }
 }
 
-/// Portable `MR x NR` register-block microkernel: `acc += A_tile * B`
+/// The `MR x NR` register-block microkernel: `acc += A_tile * B`
 /// over a depth of `kc`, where `a` is packed `p`-major (`MR` floats per
 /// step) and `b` holds one `>= NR`-wide row per depth step at stride
 /// `b_stride` (`NR` for packed panels, `n` for in-place rows of a
@@ -270,7 +122,7 @@ fn fmadd(a: f32, b: f32, c: f32) -> f32 {
 /// data-dependent branches: each depth step is `MR` broadcast-FMAs
 /// against one `NR`-wide vector load.
 #[inline(always)]
-fn microkernel_scalar(kc: usize, a: &[f32], b: &[f32], b_stride: usize, acc: &mut [[f32; NR]; MR]) {
+fn microkernel(kc: usize, a: &[f32], b: &[f32], b_stride: usize, acc: &mut [[f32; NR]; MR]) {
     // Each row's accumulator is an independent local so the compiler
     // treats every `for c` loop below as its own straight-line NR-lane
     // vector op (broadcast-FMAs per row per depth step) instead of
@@ -315,38 +167,6 @@ fn microkernel_scalar(kc: usize, a: &[f32], b: &[f32], b_stride: usize, acc: &mu
         }
     }
     *acc = [acc0, acc1, acc2, acc3, acc4, acc5, acc6, acc7];
-}
-
-/// Dispatches one register tile to the selected instruction tier.
-#[inline(always)]
-fn microkernel(
-    tier: SimdTier,
-    kc: usize,
-    a: &[f32],
-    b: &[f32],
-    b_stride: usize,
-    acc: &mut [[f32; NR]; MR],
-) {
-    // Sound: a SIMD `tier` only reaches here when runtime detection
-    // confirmed the features (set_simd_tier can cap but never promote),
-    // and the packing loops guarantee the slice-length contract.
-    match tier {
-        #[cfg(all(target_arch = "x86_64", not(yoso_force_scalar)))]
-        SimdTier::Avx512 => {
-            #[allow(unsafe_code)]
-            unsafe {
-                crate::simd::microkernel_f32_avx512(kc, a, b, b_stride, acc)
-            }
-        }
-        #[cfg(all(target_arch = "x86_64", not(yoso_force_scalar)))]
-        SimdTier::Avx2Fma => {
-            #[allow(unsafe_code)]
-            unsafe {
-                crate::simd::microkernel_f32_avx2fma(kc, a, b, b_stride, acc)
-            }
-        }
-        _ => microkernel_scalar(kc, a, b, b_stride, acc),
-    }
 }
 
 /// How the packing routines read the source operand.
@@ -461,22 +281,21 @@ fn writeback(
     }
 }
 
-/// One cell of the packed path's task grid: the block of `c` it owns.
+/// One block of `c` in the packed path.
 #[derive(Clone, Copy)]
-struct TaskBounds {
+struct BlockBounds {
     i0: usize,
     i1: usize,
     j0: usize,
     j1: usize,
 }
 
-/// Computes one task's block into `out` (zero-initialised,
+/// Computes one block of `c` into `out` (zero-initialised,
 /// `(i1-i0) x (j1-j0)` row-major): `out += op(a)[i0..i1, :] * op(b)[:, j0..j1]`
 /// over the full depth `k`. Returns `(b_panels_packed, b_panel_reuses)`
 /// for the trace counters.
-fn packed_task(
-    tier: SimdTier,
-    tb: TaskBounds,
+fn packed_block(
+    tb: BlockBounds,
     k: usize,
     n: usize,
     a: &[f32],
@@ -486,7 +305,7 @@ fn packed_task(
     b_layout: Layout,
     out: &mut [f32],
 ) -> (u64, u64) {
-    let TaskBounds { i0, i1, j0, j1 } = tb;
+    let BlockBounds { i0, i1, j0, j1 } = tb;
     let cols = j1 - j0;
     let (mut packed, mut reused) = (0u64, 0u64);
     PACK_SCRATCH.with(|scratch| {
@@ -515,7 +334,7 @@ fn packed_task(
                                 *row = [0.0; NR];
                             }
                             if jw == NR {
-                                microkernel(tier, kc, a_buf, &b[k0 * n + jb..], n, &mut acc);
+                                microkernel(kc, a_buf, &b[k0 * n + jb..], n, &mut acc);
                             } else {
                                 if edge_packed {
                                     reused += 1;
@@ -524,7 +343,7 @@ fn packed_task(
                                     edge_packed = true;
                                     packed += 1;
                                 }
-                                microkernel(tier, kc, a_buf, b_buf, NR, &mut acc);
+                                microkernel(kc, a_buf, b_buf, NR, &mut acc);
                             }
                             writeback(&acc, out, cols, i - i0, i2 - i0, jb - j0, jw);
                             jb += NR;
@@ -555,7 +374,7 @@ fn packed_task(
                                 *row = [0.0; NR];
                             }
                             let panel = &b_buf[pj * kc * NR..(pj + 1) * kc * NR];
-                            microkernel(tier, kc, a_buf, panel, NR, &mut acc);
+                            microkernel(kc, a_buf, panel, NR, &mut acc);
                             let jb = j0 + pj * NR;
                             let jw = NR.min(j1 - jb);
                             writeback(&acc, out, cols, i - i0, i2 - i0, jb - j0, jw);
@@ -570,9 +389,8 @@ fn packed_task(
     (packed, reused)
 }
 
-/// Adds a task's local block back into `c` (disjoint per task, so the
-/// combine order cannot affect the result).
-fn add_block(c: &mut [f32], n: usize, tb: TaskBounds, block: &[f32]) {
+/// Adds a block's local buffer back into `c`.
+fn add_block(c: &mut [f32], n: usize, tb: BlockBounds, block: &[f32]) {
     let cols = tb.j1 - tb.j0;
     for (r, row) in block.chunks_exact(cols).enumerate() {
         let crow = &mut c[(tb.i0 + r) * n + tb.j0..(tb.i0 + r) * n + tb.j1];
@@ -582,10 +400,7 @@ fn add_block(c: &mut [f32], n: usize, tb: TaskBounds, block: &[f32]) {
     }
 }
 
-/// The packed path: `c += op(a) * op(b)` over the fixed task grid, fanned
-/// out over [`yoso_pool::parallel_map`] when threading is enabled and the
-/// product is big enough. See the module docs for the bit-exactness
-/// argument.
+/// The packed path: `c += op(a) * op(b)`, one block of `c` at a time.
 fn sgemm_packed(
     m: usize,
     k: usize,
@@ -599,51 +414,26 @@ fn sgemm_packed(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let tier = simd_tier();
-    let col_blocks = n.div_ceil(NC);
-    let row_blocks = m.div_ceil(RB);
-    let tasks = row_blocks * col_blocks;
-    let threads = if m.saturating_mul(k).saturating_mul(n) < PAR_MIN_FLOPS {
-        1
-    } else {
-        num_threads().clamp(1, tasks)
-    };
-    let bounds = |t: usize| {
-        let (bi, bj) = (t / col_blocks, t % col_blocks);
-        TaskBounds {
-            i0: bi * RB,
-            i1: (bi * RB + RB).min(m),
-            j0: bj * NC,
-            j1: (bj * NC + NC).min(n),
-        }
-    };
     let (mut packed, mut reused) = (0u64, 0u64);
-    if threads <= 1 {
-        C_SCRATCH.with(|scratch| {
-            let out = &mut *scratch.borrow_mut();
-            for t in 0..tasks {
-                let tb = bounds(t);
+    C_SCRATCH.with(|scratch| {
+        let out = &mut *scratch.borrow_mut();
+        for i0 in (0..m).step_by(RB) {
+            for j0 in (0..n).step_by(NC) {
+                let tb = BlockBounds {
+                    i0,
+                    i1: (i0 + RB).min(m),
+                    j0,
+                    j1: (j0 + NC).min(n),
+                };
                 out.clear();
                 out.resize((tb.i1 - tb.i0) * (tb.j1 - tb.j0), 0.0);
-                let (p, r) = packed_task(tier, tb, k, n, a, a_layout, m, b, b_layout, out);
+                let (p, r) = packed_block(tb, k, n, a, a_layout, m, b, b_layout, out);
                 add_block(c, n, tb, out);
                 packed += p;
                 reused += r;
             }
-        });
-    } else {
-        let results = yoso_pool::parallel_map(tasks, threads, |t| {
-            let tb = bounds(t);
-            let mut out = vec![0.0f32; (tb.i1 - tb.i0) * (tb.j1 - tb.j0)];
-            let counters = packed_task(tier, tb, k, n, a, a_layout, m, b, b_layout, &mut out);
-            (out, counters)
-        });
-        for (t, (out, (p, r))) in results.into_iter().enumerate() {
-            add_block(c, n, bounds(t), &out);
-            packed += p;
-            reused += r;
         }
-    }
+    });
     if yoso_trace::enabled() {
         yoso_trace::counter_add("matmul.b_panels_packed", packed);
         yoso_trace::counter_add("matmul.b_panel_reuses", reused);
@@ -665,19 +455,10 @@ pub fn sgemm_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    if kernel_kind() == KernelKind::Packed {
-        return sgemm_packed(m, k, n, a, Layout::Normal, b, Layout::Normal, c);
+    match kernel_kind() {
+        KernelKind::Packed => sgemm_packed(m, k, n, a, Layout::Normal, b, Layout::Normal, c),
+        KernelKind::Reference => sgemm_reference(m, k, n, a, b, c),
     }
-    let threads = resolve_threads(m, k, n);
-    if threads <= 1 {
-        return sgemm_reference(m, k, n, a, b, c);
-    }
-    let rows_per = m.div_ceil(threads);
-    yoso_pool::for_each_chunk_mut(c, rows_per * n, threads, |ci, c_slab| {
-        let r0 = ci * rows_per;
-        let rows = c_slab.len() / n;
-        sgemm_reference(rows, k, n, &a[r0 * k..(r0 + rows) * k], b, c_slab);
-    });
 }
 
 /// The original serial kernel (`c += a * b`): a `KB`-blocked `ikj` loop
@@ -721,44 +502,22 @@ pub fn sgemm_at_b_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    if kernel_kind() == KernelKind::Packed {
-        return sgemm_packed(m, k, n, a, Layout::Transposed, b, Layout::Normal, c);
+    match kernel_kind() {
+        KernelKind::Packed => sgemm_packed(m, k, n, a, Layout::Transposed, b, Layout::Normal, c),
+        KernelKind::Reference => sgemm_at_b_reference(m, k, n, a, b, c),
     }
-    let threads = resolve_threads(m, k, n);
-    if threads <= 1 {
-        return sgemm_at_b_reference_slab(0, m, k, n, a, b, c);
-    }
-    let rows_per = m.div_ceil(threads);
-    yoso_pool::for_each_chunk_mut(c, rows_per * n, threads, |ci, c_slab| {
-        sgemm_at_b_reference_slab(ci * rows_per, m, k, n, a, b, c_slab);
-    });
 }
 
-/// Reference `a^T * b` kernel for the `c_slab.len() / n` rows of `c`
-/// starting at row `r0` (`a` stays the full `k x m` matrix; `c_slab`
-/// holds just those rows).
-fn sgemm_at_b_reference_slab(
-    r0: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c_slab: &mut [f32],
-) {
-    if n == 0 {
-        return;
-    }
-    let rows = c_slab.len() / n;
+/// Reference `a^T * b` kernel (`a` stored `k x m`).
+fn sgemm_at_b_reference(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     for kk in 0..k {
         let arow = &a[kk * m..(kk + 1) * m];
         let brow = &b[kk * n..(kk + 1) * n];
-        for i in 0..rows {
-            let aik = arow[r0 + i];
+        for (i, &aik) in arow.iter().enumerate() {
             if aik == 0.0 {
                 continue;
             }
-            let crow = &mut c_slab[i * n..(i + 1) * n];
+            let crow = &mut c[i * n..(i + 1) * n];
             for (cv, bv) in crow.iter_mut().zip(brow.iter()) {
                 *cv += aik * bv;
             }
@@ -772,23 +531,14 @@ pub fn sgemm_a_bt_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
-    if kernel_kind() == KernelKind::Packed {
-        return sgemm_packed(m, k, n, a, Layout::Normal, b, Layout::Transposed, c);
+    match kernel_kind() {
+        KernelKind::Packed => sgemm_packed(m, k, n, a, Layout::Normal, b, Layout::Transposed, c),
+        KernelKind::Reference => sgemm_a_bt_reference(m, k, n, a, b, c),
     }
-    let threads = resolve_threads(m, k, n);
-    if threads <= 1 {
-        return sgemm_a_bt_reference_slab(m, k, n, a, b, c);
-    }
-    let rows_per = m.div_ceil(threads);
-    yoso_pool::for_each_chunk_mut(c, rows_per * n, threads, |ci, c_slab| {
-        let r0 = ci * rows_per;
-        let rows = c_slab.len() / n;
-        sgemm_a_bt_reference_slab(rows, k, n, &a[r0 * k..(r0 + rows) * k], b, c_slab);
-    });
 }
 
-/// Reference `a * b^T` kernel over a contiguous slab of `m` rows.
-fn sgemm_a_bt_reference_slab(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+/// Reference `a * b^T` kernel (`b` stored `n x k`).
+fn sgemm_a_bt_reference(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         let crow = &mut c[i * n..(i + 1) * n];
@@ -902,114 +652,6 @@ mod tests {
         }
     }
 
-    /// Every SIMD tier this machine can run (detected best, AVX2 cap,
-    /// forced scalar) produces identical bits on exact-representable
-    /// inputs, across all three operand layouts. (On machines without
-    /// the features, capped runs clamp to the same lower tier and the
-    /// comparison is trivially true.)
-    /// Serializes tests that mutate the process-wide SIMD force cap:
-    /// unlike the kernel/thread knobs (where every setting yields
-    /// identical bits on these inputs), `simd_tier_cap_clamps_to_detected`
-    /// asserts on the cap state itself.
-    static SIMD_FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn simd_and_scalar_tiers_agree_on_exact_inputs() {
-        let _guard = SIMD_FORCE_LOCK.lock().unwrap();
-        let (m, k, n) = (23, 150, 70);
-        let a = seq(m * k);
-        let b = seq(k * n);
-        let a_km = seq(k * m);
-        let b_nk = seq(n * k);
-        let run = |tier: Option<SimdTier>| {
-            set_simd_tier(tier);
-            let mut c1 = vec![0.5; m * n];
-            sgemm_acc(m, k, n, &a, &b, &mut c1);
-            let mut c2 = vec![0.5; m * n];
-            sgemm_at_b_acc(m, k, n, &a_km, &b, &mut c2);
-            let mut c3 = vec![0.5; m * n];
-            sgemm_a_bt_acc(m, k, n, &a, &b_nk, &mut c3);
-            set_simd_tier(None);
-            (c1, c2, c3)
-        };
-        let auto = run(None);
-        assert_eq!(run(Some(SimdTier::Scalar)), auto, "scalar vs auto");
-        assert_eq!(run(Some(SimdTier::Avx2Fma)), auto, "avx2 cap vs auto");
-    }
-
-    /// A forced cap selects below detection and never above it.
-    #[test]
-    fn simd_tier_cap_clamps_to_detected() {
-        let _guard = SIMD_FORCE_LOCK.lock().unwrap();
-        let detected = {
-            set_simd_tier(None);
-            simd_tier()
-        };
-        set_simd_tier(Some(SimdTier::Scalar));
-        assert_eq!(simd_tier(), SimdTier::Scalar);
-        set_simd_tier(Some(SimdTier::Avx512));
-        assert_eq!(simd_tier(), detected, "cap above detection clamps down");
-        set_simd_tier(None);
-        assert_eq!(simd_tier(), detected);
-    }
-
-    /// All kernels, at sizes past the serial cutoff, produce
-    /// bit-identical output at 1, 2, 3 and 8 workers: every output
-    /// element is owned by exactly one task of a thread-count-independent
-    /// grid and accumulates its terms in the serial order.
-    #[test]
-    fn parallel_sgemm_bit_exact_across_thread_counts() {
-        let (m, k, n) = (37, 48, 50); // m*k*n > PAR_MIN_FLOPS, m not divisible
-        assert!(m * k * n >= PAR_MIN_FLOPS);
-        let a = seq(m * k);
-        let b = seq(k * n);
-        let a_km = seq(k * m);
-        let b_nk = seq(n * k);
-        let run = |threads: usize| {
-            set_num_threads(threads);
-            let mut c1 = vec![0.5; m * n];
-            sgemm_acc(m, k, n, &a, &b, &mut c1);
-            let mut c2 = vec![0.5; m * n];
-            sgemm_at_b_acc(m, k, n, &a_km, &b, &mut c2);
-            let mut c3 = vec![0.5; m * n];
-            sgemm_a_bt_acc(m, k, n, &a, &b_nk, &mut c3);
-            (c1, c2, c3)
-        };
-        let serial = run(1);
-        for t in [2, 3, 8] {
-            assert_eq!(run(t), serial, "threads={t}");
-        }
-        set_num_threads(1);
-    }
-
-    /// Thread-count invariance on a shape whose task grid really has
-    /// multiple cells in both dimensions (`m > RB`, `n > NC`), so the
-    /// parallel path genuinely fans out over row and column blocks.
-    #[test]
-    fn nc_panel_grid_bit_exact_across_thread_counts() {
-        let (m, k, n) = (70, 40, 600); // 2 row blocks x 3 column blocks
-        assert!(m > RB && n > 2 * NC && m * k * n >= PAR_MIN_FLOPS);
-        let a = seq(m * k);
-        let b = seq(k * n);
-        let a_km = seq(k * m);
-        let b_nk = seq(n * k);
-        let run = |threads: usize| {
-            set_num_threads(threads);
-            let mut c1 = vec![0.5; m * n];
-            sgemm_acc(m, k, n, &a, &b, &mut c1);
-            let mut c2 = vec![0.5; m * n];
-            sgemm_at_b_acc(m, k, n, &a_km, &b, &mut c2);
-            let mut c3 = vec![0.5; m * n];
-            sgemm_a_bt_acc(m, k, n, &a, &b_nk, &mut c3);
-            (c1, c2, c3)
-        };
-        let serial = run(1);
-        for t in [2, 4, 8] {
-            assert_eq!(run(t), serial, "threads={t}");
-        }
-        set_num_threads(1);
-    }
-
     /// Kernel selection dispatches all three entry points.
     #[test]
     fn reference_kernel_selectable() {
@@ -1023,26 +665,5 @@ mod tests {
         set_kernel(KernelKind::Packed);
         assert_eq!(kernel_kind(), KernelKind::Packed);
         assert_eq!(c, naive(m, k, n, &a, &b));
-    }
-
-    /// Same bit-exactness property for the reference kernel dispatch.
-    #[test]
-    fn parallel_reference_bit_exact_across_thread_counts() {
-        let (m, k, n) = (37, 48, 50);
-        let a = seq(m * k);
-        let b = seq(k * n);
-        set_kernel(KernelKind::Reference);
-        let run = |threads: usize| {
-            set_num_threads(threads);
-            let mut c = vec![0.5; m * n];
-            sgemm_acc(m, k, n, &a, &b, &mut c);
-            c
-        };
-        let serial = run(1);
-        for t in [2, 4] {
-            assert_eq!(run(t), serial, "threads={t}");
-        }
-        set_num_threads(1);
-        set_kernel(KernelKind::Packed);
     }
 }

@@ -8,97 +8,33 @@
 //!   `q = round(w / scale)` in `[-127, 127]`.
 //! * **Activations** — per-tensor symmetric scale with an unsigned-8
 //!   zero point of 128: `q = clamp(round(x / s) + 128, 0, 255)`,
-//!   `s = max_abs / 127`. The u8 domain feeds `dpbusd`-style u8 x i8
-//!   vector dot instructions directly; padding writes the zero point
-//!   (128), and a fused ReLU is `max(q, 128)`.
+//!   `s = max_abs / 127`. Padding writes the zero point (128), and a
+//!   fused ReLU is `max(q, 128)`.
 //! * **GEMM** — `c[i][j] = sum_k qw[i][k] * (qx[k][j] - 128)` with exact
 //!   `i32` accumulation, computed as the raw u8 x i8 dot minus the
 //!   precomputed correction `128 * sum_k qw[i][k]`. The worst case
 //!   (`k = 576` here) peaks below `10^7`, far from `i32` overflow.
 //! * **Dequantization** — `c_f32 = c_i32 * scale[i] * s`.
 //!
-//! Because every path accumulates the same integers, the AVX-VNNI
-//! kernel and the scalar fallback are bit-identical — the [`QuantTier`]
-//! dispatch (runtime-detected, overridable like the f32
-//! [`SimdTier`](crate::matmul::SimdTier)) is purely a speed choice.
+//! [`gemm_q`] is one portable integer loop; LLVM auto-vectorises it for
+//! the host ISA under the workspace's `target-cpu=native` build.
 
 use crate::conv::ConvGeom;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-/// Instruction tier the int8 GEMM dispatches to at runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantTier {
-    /// 256-bit AVX-VNNI `dpbusd` (4-deep u8 x i8 dot, 32 MACs per
-    /// instruction), runtime-detected.
-    Vnni,
-    /// Portable scalar `i32` accumulation.
-    Scalar,
-}
-
-impl std::fmt::Display for QuantTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            QuantTier::Vnni => "avx-vnni",
-            QuantTier::Scalar => "scalar",
-        })
-    }
-}
-
-/// `0` = auto (detected), `1` = force scalar.
-static QUANT_FORCE: AtomicUsize = AtomicUsize::new(0);
-static QUANT_DETECTED: OnceLock<QuantTier> = OnceLock::new();
-
-fn detect_quant_tier() -> QuantTier {
-    #[cfg(all(target_arch = "x86_64", not(yoso_force_scalar)))]
-    {
-        if std::arch::is_x86_feature_detected!("avxvnni") {
-            return QuantTier::Vnni;
-        }
-    }
-    QuantTier::Scalar
-}
-
-/// Overrides the int8 GEMM tier (`Some(Scalar)` forces the portable
-/// kernel; `None` restores detection). Requests are clamped to what the
-/// CPU supports. Results are bit-identical either way; this exists for
-/// benches and the dispatch tests.
-pub fn set_quant_tier(tier: Option<QuantTier>) {
-    QUANT_FORCE.store(
-        match tier {
-            Some(QuantTier::Scalar) => 1,
-            _ => 0,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The int8 GEMM tier the next call will use.
-pub fn quant_tier() -> QuantTier {
-    if QUANT_FORCE.load(Ordering::Relaxed) == 1 {
-        return QuantTier::Scalar;
-    }
-    *QUANT_DETECTED.get_or_init(detect_quant_tier)
-}
 
 /// The u8 activation zero point.
 pub const ZERO_POINT: i32 = 128;
 
-/// A weight matrix quantized to per-row symmetric int8, with the depth
-/// padded to a multiple of 4 (the `dpbusd` quad) and the per-row sums
-/// the zero-point correction needs.
+/// A weight matrix quantized to per-row symmetric int8, with the
+/// per-row sums the zero-point correction needs.
 #[derive(Debug, Clone)]
 pub struct QuantWeights {
     rows: usize,
     cols: usize,
-    /// Depth quads: `cols.div_ceil(4)`.
-    kq: usize,
-    /// `rows x kq*4`, zero-padded past `cols`.
+    /// Row-major `rows x cols`.
     q: Vec<i8>,
     /// Per-row dequantization scales.
     scales: Vec<f32>,
-    /// Per-row `sum_k q[i][k]` (padding contributes nothing).
+    /// Per-row `sum_k q[i][k]`.
     row_sums: Vec<i32>,
 }
 
@@ -110,8 +46,7 @@ impl QuantWeights {
     /// Panics if `w.len() != rows * cols`.
     pub fn quantize(w: &[f32], rows: usize, cols: usize) -> Self {
         assert_eq!(w.len(), rows * cols, "weight length");
-        let kq = cols.div_ceil(4).max(1);
-        let mut q = vec![0i8; rows * kq * 4];
+        let mut q = vec![0i8; rows * cols];
         let mut scales = vec![1.0f32; rows];
         let mut row_sums = vec![0i32; rows];
         for i in 0..rows {
@@ -119,7 +54,7 @@ impl QuantWeights {
             let max_abs = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));
             let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
             scales[i] = scale;
-            let dst = &mut q[i * kq * 4..i * kq * 4 + cols];
+            let dst = &mut q[i * cols..(i + 1) * cols];
             let mut sum = 0i32;
             for (d, v) in dst.iter_mut().zip(row) {
                 let qi = (v / scale).round().clamp(-127.0, 127.0) as i32;
@@ -131,7 +66,6 @@ impl QuantWeights {
         QuantWeights {
             rows,
             cols,
-            kq,
             q,
             scales,
             row_sums,
@@ -300,15 +234,11 @@ pub fn dequantize(acc: i32, w_scale: f32, x_scale: f32) -> f32 {
     acc as f32 * (w_scale * x_scale)
 }
 
-thread_local! {
-    /// Per-thread 4-deep activation packing scratch for the VNNI path.
-    static QPACK_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
 /// Int8 GEMM: overwrites `c` (`rows x n`) with
 /// `c[i][j] = sum_k qw[i][k] * (x[k][j] - 128)` where `x` is the
 /// row-major `cols x n` u8 activation matrix. Accumulation is exact
-/// `i32`, so every tier returns identical bits.
+/// `i32`: a branchy `ikj` loop over the raw u8 operand, then the
+/// zero-point correction per row.
 ///
 /// # Panics
 ///
@@ -319,78 +249,9 @@ pub fn gemm_q(w: &QuantWeights, x: &[u8], n: usize, c: &mut [i32]) {
     if n == 0 || w.rows == 0 {
         return;
     }
-    match quant_tier() {
-        #[cfg(all(target_arch = "x86_64", not(yoso_force_scalar)))]
-        QuantTier::Vnni => {
-            QPACK_SCRATCH.with(|scratch| {
-                let bp = &mut *scratch.borrow_mut();
-                pack_activations_quads(x, w.cols, w.kq, n, bp);
-                // Sound: the tier is only `Vnni` when runtime detection
-                // confirmed AVX-VNNI, and the packing above sizes the
-                // operands to the kernel's contract.
-                #[allow(unsafe_code)]
-                unsafe {
-                    crate::simd::gemm_u8i8_avxvnni(w.rows, w.kq, n, &w.q, bp, c)
-                };
-            });
-            for i in 0..w.rows {
-                let corr = ZERO_POINT * w.row_sums[i];
-                for v in &mut c[i * n..(i + 1) * n] {
-                    *v -= corr;
-                }
-            }
-        }
-        _ => gemm_q_scalar(w, x, n, c),
-    }
-}
-
-/// Packs the `cols x n` u8 matrix 4-deep for the VNNI kernel: byte
-/// `out[q * n * 4 + j * 4 + t]` is `x[(4q + t) * n + j]`, zero-padded
-/// past `cols` (the matching weight bytes are zero, so the pad value is
-/// irrelevant — zero keeps the buffer deterministic).
-#[cfg(all(target_arch = "x86_64", not(yoso_force_scalar)))]
-fn pack_activations_quads(x: &[u8], cols: usize, kq: usize, n: usize, out: &mut Vec<u8>) {
-    out.clear();
-    out.resize(kq * n * 4, 0);
-    // Full quads interleave four source rows in one pass
-    // (`dst[4j + t] = row_t[j]`), which vectorizes to byte-unpack
-    // shuffles; only the final quad can be ragged (`cols % 4 != 0`) and
-    // takes the scalar path.
-    let full = cols / 4;
-    for q in 0..full {
-        let dst = &mut out[q * n * 4..(q + 1) * n * 4];
-        let base = q * 4 * n;
-        let (r0, rest) = x[base..base + 4 * n].split_at(n);
-        let (r1, rest) = rest.split_at(n);
-        let (r2, r3) = rest.split_at(n);
-        for (j, d) in dst.chunks_exact_mut(4).enumerate() {
-            d[0] = r0[j];
-            d[1] = r1[j];
-            d[2] = r2[j];
-            d[3] = r3[j];
-        }
-    }
-    for q in full..kq {
-        let dst = &mut out[q * n * 4..(q + 1) * n * 4];
-        for t in 0..4 {
-            let kk = q * 4 + t;
-            if kk >= cols {
-                break;
-            }
-            let src = &x[kk * n..(kk + 1) * n];
-            for (j, v) in src.iter().enumerate() {
-                dst[j * 4 + t] = *v;
-            }
-        }
-    }
-}
-
-/// Portable int8 GEMM: a branchy `ikj` loop over the raw u8 operand with
-/// the same zero-point correction, bit-identical to the VNNI kernel.
-fn gemm_q_scalar(w: &QuantWeights, x: &[u8], n: usize, c: &mut [i32]) {
     let cols = w.cols;
     for i in 0..w.rows {
-        let wrow = &w.q[i * w.kq * 4..i * w.kq * 4 + cols];
+        let wrow = &w.q[i * cols..(i + 1) * cols];
         let crow = &mut c[i * n..(i + 1) * n];
         crow.fill(0);
         for (kk, &av) in wrow.iter().enumerate() {
@@ -692,7 +553,7 @@ mod tests {
             for j in 0..n {
                 let mut acc = 0i32;
                 for kk in 0..w.cols {
-                    let qw = w.q[i * w.kq * 4 + kk] as i32;
+                    let qw = w.q[i * w.cols + kk] as i32;
                     let qx = x[kk * n + j] as i32 - ZERO_POINT;
                     acc += qw * qx;
                 }
@@ -710,7 +571,7 @@ mod tests {
         for i in 0..rows {
             let s = qw.scales()[i];
             for kk in 0..cols {
-                let deq = qw.q[i * qw.kq * 4 + kk] as f32 * s;
+                let deq = qw.q[i * cols + kk] as f32 * s;
                 let err = (w[i * cols + kk] - deq).abs();
                 assert!(err <= s * 0.5 + 1e-6, "w[{i},{kk}] err {err} scale {s}");
             }
@@ -748,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn gemm_q_matches_naive_all_tiers() {
+    fn gemm_q_matches_naive() {
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 7, 5),
@@ -761,15 +622,9 @@ mod tests {
             let w = QuantWeights::quantize(&wf, m, k);
             let mut x = Vec::new();
             quantize_activations(&xf, false, &mut x);
-            let want = naive_q(&w, &x, n);
-            let mut auto = vec![0i32; m * n];
-            gemm_q(&w, &x, n, &mut auto);
-            assert_eq!(auto, want, "auto tier ({m},{k},{n})");
-            set_quant_tier(Some(QuantTier::Scalar));
-            let mut scalar = vec![0i32; m * n];
-            gemm_q(&w, &x, n, &mut scalar);
-            set_quant_tier(None);
-            assert_eq!(scalar, want, "scalar tier ({m},{k},{n})");
+            let mut got = vec![0i32; m * n];
+            gemm_q(&w, &x, n, &mut got);
+            assert_eq!(got, naive_q(&w, &x, n), "({m},{k},{n})");
         }
     }
 

@@ -176,8 +176,13 @@ mod tests {
     // Registry state is process-global and the enabled flag is shared, so
     // every assertion here is delta-based and re-enables around itself.
 
+    /// Serializes the tests that toggle the enabled flag: cargo runs the
+    /// tests of one binary on parallel threads.
+    static FLAG_LOCK: Mutex<()> = Mutex::new(());
+
     #[test]
     fn disabled_paths_record_nothing() {
+        let _flag = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         let before = snapshot();
         counter_add("test.disabled.counter", 3);
@@ -196,6 +201,7 @@ mod tests {
 
     #[test]
     fn enabled_counters_and_spans_accumulate() {
+        let _flag = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         let before = snapshot();
         counter_add("test.enabled.counter", 2);
