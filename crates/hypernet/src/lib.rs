@@ -271,9 +271,9 @@ impl HyperNet {
     /// on the tape-free int8 path: the candidate's dense-conv weights
     /// are quantized once ([`QuantizedNetwork::prepare`]) and every
     /// batch runs as int8 GEMMs. Faster than [`evaluate_genotype`]
-    /// (no autograd tape, batched im2col) at the cost of conv
-    /// quantization error — rank correlation with the f32 scores is
-    /// pinned by the `quantized_scoring` integration test.
+    /// (no autograd tape, batched im2col, VNNI when available) at the
+    /// cost of conv quantization error — rank correlation with the f32
+    /// scores is pinned by the `quantized_scoring` integration test.
     ///
     /// [`evaluate_genotype`]: HyperNet::evaluate_genotype
     pub fn evaluate_genotype_int8(

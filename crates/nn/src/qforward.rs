@@ -22,7 +22,7 @@
 //! The per-sample f32 im2col of the graph path becomes one *batched*
 //! u8 column matrix here (`n = batch * h_out * w_out` columns), so each
 //! layer is a single int8 GEMM — wider GEMMs amortize the weight loads
-//! and give the integer kernel long contiguous rows.
+//! and feed the AVX-VNNI kernel long contiguous rows.
 
 use crate::weights::{OpWeights, WeightProvider};
 use yoso_arch::{NetworkPlan, Op};

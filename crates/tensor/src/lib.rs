@@ -38,7 +38,8 @@
 //! ```
 
 // `deny` rather than `forbid`: the u8 im2col lowerings in `quant` opt
-// back in with `#[allow(unsafe_code)]` for their raw-pointer row copies.
+// back in with `#[allow(unsafe_code)]` for their raw-pointer row copies,
+// and so does the runtime-detected AVX-VNNI kernel in `quant::vnni`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -13,8 +13,7 @@
 //! * **Microkernel** — an `MR x NR` register block accumulates `kc`
 //!   rank-1 updates in a portable loop with fixed-size inner loops.
 //!   LLVM auto-vectorises it for the host ISA because the workspace
-//!   builds with `target-cpu=native` (`.cargo/config.toml`); there is
-//!   no runtime dispatch and no `std::arch` code.
+//!   builds with `target-cpu=native` (`.cargo/config.toml`).
 //!
 //! Packing buffers live in thread-local scratch, so steady-state GEMM
 //! calls are allocation-free.

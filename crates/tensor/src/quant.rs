@@ -8,33 +8,43 @@
 //!   `q = round(w / scale)` in `[-127, 127]`.
 //! * **Activations** — per-tensor symmetric scale with an unsigned-8
 //!   zero point of 128: `q = clamp(round(x / s) + 128, 0, 255)`,
-//!   `s = max_abs / 127`. Padding writes the zero point (128), and a
-//!   fused ReLU is `max(q, 128)`.
+//!   `s = max_abs / 127`. The u8 domain feeds `dpbusd`-style u8 x i8
+//!   vector dot instructions directly; padding writes the zero point
+//!   (128), and a fused ReLU is `max(q, 128)`.
 //! * **GEMM** — `c[i][j] = sum_k qw[i][k] * (qx[k][j] - 128)` with exact
 //!   `i32` accumulation, computed as the raw u8 x i8 dot minus the
 //!   precomputed correction `128 * sum_k qw[i][k]`. The worst case
 //!   (`k = 576` here) peaks below `10^7`, far from `i32` overflow.
 //! * **Dequantization** — `c_f32 = c_i32 * scale[i] * s`.
 //!
-//! [`gemm_q`] is one portable integer loop; LLVM auto-vectorises it for
-//! the host ISA under the workspace's `target-cpu=native` build.
+//! [`gemm_q`] runs the AVX-VNNI kernel in `quant::vnni` when the CPU reports
+//! `avxvnni` and a portable integer loop otherwise. Both accumulate the
+//! same integers, so they return identical bits; there is no knob to
+//! pick one.
 
 use crate::conv::ConvGeom;
+use std::cell::RefCell;
+
+#[cfg(target_arch = "x86_64")]
+mod vnni;
 
 /// The u8 activation zero point.
 pub const ZERO_POINT: i32 = 128;
 
-/// A weight matrix quantized to per-row symmetric int8, with the
-/// per-row sums the zero-point correction needs.
+/// A weight matrix quantized to per-row symmetric int8, with the depth
+/// padded to a multiple of 4 (the `dpbusd` quad) and the per-row sums
+/// the zero-point correction needs.
 #[derive(Debug, Clone)]
 pub struct QuantWeights {
     rows: usize,
     cols: usize,
-    /// Row-major `rows x cols`.
+    /// Depth quads: `cols.div_ceil(4)`.
+    kq: usize,
+    /// `rows x kq*4`, zero-padded past `cols`.
     q: Vec<i8>,
     /// Per-row dequantization scales.
     scales: Vec<f32>,
-    /// Per-row `sum_k q[i][k]`.
+    /// Per-row `sum_k q[i][k]` (padding contributes nothing).
     row_sums: Vec<i32>,
 }
 
@@ -46,7 +56,8 @@ impl QuantWeights {
     /// Panics if `w.len() != rows * cols`.
     pub fn quantize(w: &[f32], rows: usize, cols: usize) -> Self {
         assert_eq!(w.len(), rows * cols, "weight length");
-        let mut q = vec![0i8; rows * cols];
+        let kq = cols.div_ceil(4).max(1);
+        let mut q = vec![0i8; rows * kq * 4];
         let mut scales = vec![1.0f32; rows];
         let mut row_sums = vec![0i32; rows];
         for i in 0..rows {
@@ -54,7 +65,7 @@ impl QuantWeights {
             let max_abs = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));
             let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
             scales[i] = scale;
-            let dst = &mut q[i * cols..(i + 1) * cols];
+            let dst = &mut q[i * kq * 4..i * kq * 4 + cols];
             let mut sum = 0i32;
             for (d, v) in dst.iter_mut().zip(row) {
                 let qi = (v / scale).round().clamp(-127.0, 127.0) as i32;
@@ -66,6 +77,7 @@ impl QuantWeights {
         QuantWeights {
             rows,
             cols,
+            kq,
             q,
             scales,
             row_sums,
@@ -234,11 +246,16 @@ pub fn dequantize(acc: i32, w_scale: f32, x_scale: f32) -> f32 {
     acc as f32 * (w_scale * x_scale)
 }
 
+thread_local! {
+    /// Per-thread 4-deep activation packing scratch for the VNNI path.
+    static QPACK_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Int8 GEMM: overwrites `c` (`rows x n`) with
 /// `c[i][j] = sum_k qw[i][k] * (x[k][j] - 128)` where `x` is the
 /// row-major `cols x n` u8 activation matrix. Accumulation is exact
-/// `i32`: a branchy `ikj` loop over the raw u8 operand, then the
-/// zero-point correction per row.
+/// `i32`, so the VNNI kernel and the portable loop return identical
+/// bits.
 ///
 /// # Panics
 ///
@@ -249,9 +266,35 @@ pub fn gemm_q(w: &QuantWeights, x: &[u8], n: usize, c: &mut [i32]) {
     if n == 0 || w.rows == 0 {
         return;
     }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avxvnni") {
+        QPACK_SCRATCH.with(|scratch| {
+            let bp = &mut *scratch.borrow_mut();
+            vnni::pack_activations_quads(x, w.cols, w.kq, n, bp);
+            // Sound: AVX-VNNI was detected just above, and the packing
+            // sizes the operands to the kernel's contract.
+            #[allow(unsafe_code)]
+            unsafe {
+                vnni::gemm_u8i8_avxvnni(w.rows, w.kq, n, &w.q, bp, c)
+            };
+        });
+        for i in 0..w.rows {
+            let corr = ZERO_POINT * w.row_sums[i];
+            for v in &mut c[i * n..(i + 1) * n] {
+                *v -= corr;
+            }
+        }
+        return;
+    }
+    gemm_q_scalar(w, x, n, c);
+}
+
+/// Portable int8 GEMM: a branchy `ikj` loop over the raw u8 operand with
+/// the same zero-point correction, bit-identical to the VNNI kernel.
+fn gemm_q_scalar(w: &QuantWeights, x: &[u8], n: usize, c: &mut [i32]) {
     let cols = w.cols;
     for i in 0..w.rows {
-        let wrow = &w.q[i * cols..(i + 1) * cols];
+        let wrow = &w.q[i * w.kq * 4..i * w.kq * 4 + cols];
         let crow = &mut c[i * n..(i + 1) * n];
         crow.fill(0);
         for (kk, &av) in wrow.iter().enumerate() {
@@ -553,7 +596,7 @@ mod tests {
             for j in 0..n {
                 let mut acc = 0i32;
                 for kk in 0..w.cols {
-                    let qw = w.q[i * w.cols + kk] as i32;
+                    let qw = w.q[i * w.kq * 4 + kk] as i32;
                     let qx = x[kk * n + j] as i32 - ZERO_POINT;
                     acc += qw * qx;
                 }
@@ -571,7 +614,7 @@ mod tests {
         for i in 0..rows {
             let s = qw.scales()[i];
             for kk in 0..cols {
-                let deq = qw.q[i * cols + kk] as f32 * s;
+                let deq = qw.q[i * qw.kq * 4 + kk] as f32 * s;
                 let err = (w[i * cols + kk] - deq).abs();
                 assert!(err <= s * 0.5 + 1e-6, "w[{i},{kk}] err {err} scale {s}");
             }
@@ -622,9 +665,13 @@ mod tests {
             let w = QuantWeights::quantize(&wf, m, k);
             let mut x = Vec::new();
             quantize_activations(&xf, false, &mut x);
+            let want = naive_q(&w, &x, n);
             let mut got = vec![0i32; m * n];
             gemm_q(&w, &x, n, &mut got);
-            assert_eq!(got, naive_q(&w, &x, n), "({m},{k},{n})");
+            assert_eq!(got, want, "gemm_q ({m},{k},{n})");
+            let mut scalar = vec![0i32; m * n];
+            gemm_q_scalar(&w, &x, n, &mut scalar);
+            assert_eq!(scalar, want, "portable loop ({m},{k},{n})");
         }
     }
 
