@@ -286,26 +286,6 @@ impl Args {
     }
 }
 
-/// Value of `--flag <value>` in the process arguments.
-pub fn arg_value(flag: &str) -> Option<String> {
-    Args::parse().value(flag)
-}
-
-/// `--flag <n>` parsed as usize, with default.
-pub fn arg_usize(flag: &str, default: usize) -> usize {
-    Args::parse().usize(flag, default)
-}
-
-/// `--flag <x>` parsed as u64, with default.
-pub fn arg_u64(flag: &str, default: u64) -> u64 {
-    Args::parse().u64(flag, default)
-}
-
-/// Presence of a boolean `--flag`.
-pub fn arg_present(flag: &str) -> bool {
-    Args::parse().present(flag)
-}
-
 /// Applies the shared thread flags from the process arguments (see
 /// [`Args::configure_threads`]).
 pub fn configure_threads() -> usize {

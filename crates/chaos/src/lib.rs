@@ -46,7 +46,7 @@ pub enum FaultKind {
     WorkerPanic,
     /// The cycle-level simulator returns a non-finite report (`yoso-accel`).
     SimNan,
-    /// A GP `fit`/`append` fails numerically (`yoso-predictor`).
+    /// A GP `fit` fails numerically (`yoso-predictor`).
     GpFitFail,
     /// A GP prediction goes non-finite, forcing per-query degradation.
     GpPredictNan,

@@ -1,6 +1,6 @@
 //! Work-sharing thread pool underpinning every parallel stage of the
 //! pipeline: exhaustive hardware sweeps, predictor sample collection,
-//! top-N reranking and the blocked GEMM kernels.
+//! batched candidate scoring and top-N reranking.
 //!
 //! # Design
 //!
@@ -15,19 +15,16 @@
 //!
 //! # Supervision
 //!
-//! Every map runs each item under `std::panic::catch_unwind`, so one
-//! panicking closure no longer kills the whole pool. Failed items are
-//! retried with exponential backoff up to a [`SupervisorConfig`] budget;
-//! items claimed by a worker that nevertheless died are re-run in a
-//! serial recovery pass after the join, so no slot is ever left
-//! unfilled. [`supervised_map`] exposes the per-item verdicts as typed
-//! [`ItemOutcome`]s, [`try_parallel_map`] converts the first failure
-//! into a typed [`PoolError`], and [`parallel_map`] keeps its historical
-//! contract of propagating the panic — but only after the retry budget
-//! is exhausted, and with the original payload message preserved.
+//! Every map runs each attempt of each item under
+//! `std::panic::catch_unwind`, so one panicking closure does not kill the
+//! whole pool. A panicking item is retried twice, after a 1 ms and then
+//! a 2 ms sleep; items claimed by a worker that nevertheless died are
+//! re-run in a serial recovery pass after the join, so no slot is ever
+//! left unfilled. Only an item that panics on all three attempts makes
+//! [`parallel_map`] re-raise, with the last panic's message preserved.
 //! Health counters (`pool.panics_caught`, `pool.retries`,
-//! `pool.timeouts`, `pool.workers_lost`, `pool.items_recovered`) are
-//! emitted through `yoso-trace` when telemetry is enabled.
+//! `pool.workers_lost`, `pool.items_recovered`) are emitted through
+//! `yoso-trace` when telemetry is enabled.
 //!
 //! Deterministic worker-panic faults can be injected via `yoso-chaos`
 //! ([`yoso_chaos::FaultKind::WorkerPanic`]): decisions are keyed on the
@@ -41,16 +38,13 @@
 //! worker computed what. [`parallel_map_seeded`] additionally hands each
 //! item an RNG derived from `(seed, index)` alone, so results are
 //! invariant to the thread count: 1 thread and 64 threads produce
-//! byte-identical output. [`for_each_chunk_mut`] statically partitions a
-//! contiguous buffer, leaving per-element operation order untouched —
-//! the parallel GEMM built on it is bit-exact at any thread count.
+//! byte-identical output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -68,6 +62,12 @@ static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
 /// inject at distinct items. Maps are issued serially from the search
 /// thread, so the sequence itself is deterministic run-to-run.
 static MAP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Retries after a panicking attempt before the panic is re-raised.
+const MAX_RETRIES: u32 = 2;
+
+/// The sleep before retry `k` (1-based) is `k × BACKOFF`: 1 ms, then 2 ms.
+const BACKOFF: Duration = Duration::from_millis(1);
 
 /// Overrides the global default worker count used when a map is called
 /// with `threads == 0`. Passing 0 restores the auto default.
@@ -91,155 +91,6 @@ fn resolve(threads: usize, n: usize) -> usize {
     threads.clamp(1, n.max(1))
 }
 
-/// Retry/deadline policy for supervised maps.
-///
-/// An item "fails" when its closure panics or (if `deadline` is set)
-/// overruns the deadline. Failed items are retried after an exponential
-/// backoff (`backoff`, doubling per attempt, capped at `backoff_max`)
-/// until `max_retries` retries are spent; the final verdict is a typed
-/// [`ItemOutcome`]. Deadlines are detected post-hoc — safe Rust cannot
-/// preempt a running closure — so a deadline bounds *detection*, not the
-/// item's own runtime, and a deterministically slow item will time out
-/// on every attempt.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisorConfig {
-    /// Failed attempts to retry before giving up (0 = fail fast).
-    pub max_retries: u32,
-    /// Base backoff slept before the first retry.
-    pub backoff: Duration,
-    /// Ceiling for the doubled backoff.
-    pub backoff_max: Duration,
-    /// Per-item soft deadline (`None` = unlimited).
-    pub deadline: Option<Duration>,
-}
-
-impl Default for SupervisorConfig {
-    /// Two retries, 1 ms base backoff capped at 100 ms, no deadline.
-    fn default() -> Self {
-        SupervisorConfig {
-            max_retries: 2,
-            backoff: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(100),
-            deadline: None,
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// Policy that never retries and never times out: failures surface
-    /// on the first attempt.
-    pub fn fail_fast() -> Self {
-        SupervisorConfig {
-            max_retries: 0,
-            backoff: Duration::ZERO,
-            backoff_max: Duration::ZERO,
-            deadline: None,
-        }
-    }
-}
-
-/// Typed per-item verdict from [`supervised_map`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ItemOutcome<T> {
-    /// Succeeded on the first attempt.
-    Ok(T),
-    /// Succeeded after `attempts` failed attempts.
-    Retried {
-        /// The successful result.
-        value: T,
-        /// Failed attempts before the success.
-        attempts: u32,
-    },
-    /// Panicked on every attempt; `message` is the last panic payload.
-    Panicked {
-        /// Attempts made (initial try + retries).
-        attempts: u32,
-        /// Stringified payload of the last panic.
-        message: String,
-    },
-    /// Overran the deadline on every attempt.
-    TimedOut {
-        /// Attempts made (initial try + retries).
-        attempts: u32,
-        /// Wall time of the last attempt.
-        elapsed: Duration,
-    },
-}
-
-impl<T> ItemOutcome<T> {
-    /// True for [`ItemOutcome::Ok`] and [`ItemOutcome::Retried`].
-    pub fn is_success(&self) -> bool {
-        matches!(self, ItemOutcome::Ok(_) | ItemOutcome::Retried { .. })
-    }
-
-    /// The computed value, if any attempt succeeded.
-    pub fn into_value(self) -> Option<T> {
-        match self {
-            ItemOutcome::Ok(v) | ItemOutcome::Retried { value: v, .. } => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Failed attempts consumed before the final verdict.
-    pub fn failed_attempts(&self) -> u32 {
-        match self {
-            ItemOutcome::Ok(_) => 0,
-            ItemOutcome::Retried { attempts, .. }
-            | ItemOutcome::Panicked { attempts, .. }
-            | ItemOutcome::TimedOut { attempts, .. } => *attempts,
-        }
-    }
-}
-
-/// Typed failure from [`try_parallel_map`]: the first item (lowest
-/// index) whose retry budget was exhausted.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PoolError {
-    /// The item panicked on every attempt.
-    ItemPanicked {
-        /// Item index within the map.
-        index: usize,
-        /// Attempts made.
-        attempts: u32,
-        /// Stringified payload of the last panic.
-        message: String,
-    },
-    /// The item overran its deadline on every attempt.
-    ItemTimedOut {
-        /// Item index within the map.
-        index: usize,
-        /// Attempts made.
-        attempts: u32,
-        /// Wall time of the last attempt.
-        elapsed: Duration,
-    },
-}
-
-impl fmt::Display for PoolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PoolError::ItemPanicked {
-                index,
-                attempts,
-                message,
-            } => write!(
-                f,
-                "pool item {index} panicked after {attempts} attempt(s): {message}"
-            ),
-            PoolError::ItemTimedOut {
-                index,
-                attempts,
-                elapsed,
-            } => write!(
-                f,
-                "pool item {index} exceeded its deadline after {attempts} attempt(s) (last took {elapsed:?})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PoolError {}
-
 /// Best-effort stringification of a panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -251,32 +102,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn backoff_sleep(cfg: &SupervisorConfig, failed_attempts: u32) {
-    if cfg.backoff.is_zero() {
-        return;
-    }
-    let factor = 1u32 << failed_attempts.saturating_sub(1).min(16);
-    let wait = cfg.backoff.saturating_mul(factor).min(cfg.backoff_max);
-    if !wait.is_zero() {
-        std::thread::sleep(wait);
-    }
-}
-
-/// Runs one item to its final verdict: attempt, catch panics, check the
-/// deadline, back off and retry within budget.
-fn run_one<T, F>(
-    i: usize,
-    map_salt: u64,
-    cfg: &SupervisorConfig,
-    traced: bool,
-    f: &F,
-) -> ItemOutcome<T>
+/// Runs one item to its final verdict: attempt, catch the panic, back
+/// off and retry within budget. `Err` carries the message
+/// [`parallel_map`] re-raises once every attempt has panicked.
+fn run_one<T, F>(i: usize, map_salt: u64, traced: bool, f: &F) -> Result<T, String>
 where
     F: Fn(usize) -> T + Sync,
 {
     let mut failed: u32 = 0;
     loop {
-        let start = cfg.deadline.map(|_| Instant::now());
         let result = catch_unwind(AssertUnwindSafe(|| {
             if yoso_chaos::armed()
                 && yoso_chaos::should_fault_indexed(
@@ -290,68 +124,52 @@ where
             }
             f(i)
         }));
-        match result {
-            Ok(value) => {
-                if let (Some(deadline), Some(start)) = (cfg.deadline, start) {
-                    let elapsed = start.elapsed();
-                    if elapsed > deadline {
-                        if traced {
-                            yoso_trace::counter_add("pool.timeouts", 1);
-                        }
-                        failed += 1;
-                        if failed > cfg.max_retries {
-                            return ItemOutcome::TimedOut {
-                                attempts: failed,
-                                elapsed,
-                            };
-                        }
-                        if traced {
-                            yoso_trace::counter_add("pool.retries", 1);
-                        }
-                        backoff_sleep(cfg, failed);
-                        continue;
-                    }
-                }
-                return if failed == 0 {
-                    ItemOutcome::Ok(value)
-                } else {
-                    ItemOutcome::Retried {
-                        value,
-                        attempts: failed,
-                    }
-                };
-            }
-            Err(payload) => {
-                if traced {
-                    yoso_trace::counter_add("pool.panics_caught", 1);
-                }
-                failed += 1;
-                if failed > cfg.max_retries {
-                    return ItemOutcome::Panicked {
-                        attempts: failed,
-                        message: panic_message(payload.as_ref()),
-                    };
-                }
-                if traced {
-                    yoso_trace::counter_add("pool.retries", 1);
-                }
-                backoff_sleep(cfg, failed);
-            }
+        let payload = match result {
+            Ok(value) => return Ok(value),
+            Err(payload) => payload,
+        };
+        if traced {
+            yoso_trace::counter_add("pool.panics_caught", 1);
         }
+        failed += 1;
+        if failed > MAX_RETRIES {
+            return Err(format!(
+                "pool item {i} panicked after {failed} attempt(s): {}",
+                panic_message(payload.as_ref())
+            ));
+        }
+        if traced {
+            yoso_trace::counter_add("pool.retries", 1);
+        }
+        std::thread::sleep(BACKOFF * failed);
     }
 }
 
-/// Applies `f` to `0..n` under the supervision policy `cfg` and returns
-/// one typed [`ItemOutcome`] per item, in index order. Never panics on
-/// behalf of `f`: worker panics are caught per attempt, retried within
-/// budget, and reported in the outcome. Items claimed by a worker that
-/// died anyway are recovered by a serial re-run after the join.
-pub fn supervised_map<T, F>(
-    n: usize,
-    threads: usize,
-    cfg: &SupervisorConfig,
-    f: F,
-) -> Vec<ItemOutcome<T>>
+/// Applies `f` to `0..n` across worker threads and returns results in
+/// index order. `threads == 0` uses the global default
+/// ([`num_threads`]); otherwise exactly the requested count (clamped to
+/// `n`) is used.
+///
+/// A panicking item is retried twice (see the crate docs) before the
+/// panic is re-raised, so transient faults — e.g. chaos-injected worker
+/// panics — are absorbed and deterministic items converge to their
+/// fault-free values. `f` should therefore be idempotent, which every
+/// pipeline map (pure function of the item index) already is.
+///
+/// When global telemetry is on ([`yoso_trace::enabled`]) each map
+/// records `pool.maps` / `pool.items` counters, a `pool.map_wall` span,
+/// and `pool.busy_ns` / `pool.thread_ns` — total worker-loop time vs.
+/// total thread-time allocated, whose ratio is the pool utilization
+/// (below 1.0 when the tail of the join leaves finished workers idle).
+/// With telemetry off (the default) the only cost is one relaxed atomic
+/// load.
+///
+/// # Panics
+///
+/// After every item has run, panics for the lowest-index item that
+/// panicked on all three attempts, with the message `pool item {i}
+/// panicked after 3 attempt(s): {last panic message}`.
+pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -364,156 +182,85 @@ where
         yoso_trace::counter_add("pool.maps", 1);
         yoso_trace::counter_add("pool.items", n as u64);
     }
-    if threads == 1 || n <= 1 {
+    let results: Vec<Result<T, String>> = if threads == 1 || n <= 1 {
         let t0 = traced.then(Instant::now);
-        let out = (0..n)
-            .map(|i| run_one(i, map_salt, cfg, traced, &f))
-            .collect();
+        let out = (0..n).map(|i| run_one(i, map_salt, traced, &f)).collect();
         if let Some(t0) = t0 {
             let elapsed = nanos_since(t0);
             yoso_trace::counter_add("pool.busy_ns", elapsed);
             yoso_trace::counter_add("pool.thread_ns", elapsed);
         }
-        return out;
-    }
-    let t_map = traced.then(Instant::now);
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<ItemOutcome<T>>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                let cfg = &*cfg;
-                scope.spawn(move || {
-                    let t0 = traced.then(Instant::now);
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
+        out
+    } else {
+        let t_map = traced.then(Instant::now);
+        let next = AtomicUsize::new(0);
+        let mut slots: Vec<Option<Result<T, String>>> = (0..n).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    let next = &next;
+                    let f = &f;
+                    scope.spawn(move || {
+                        let t0 = traced.then(Instant::now);
+                        let mut local = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            local.push((i, run_one(i, map_salt, traced, f)));
                         }
-                        local.push((i, run_one(i, map_salt, cfg, traced, f)));
-                    }
-                    if let Some(t0) = t0 {
-                        yoso_trace::counter_add("pool.busy_ns", nanos_since(t0));
-                    }
-                    local
+                        if let Some(t0) = t0 {
+                            yoso_trace::counter_add("pool.busy_ns", nanos_since(t0));
+                        }
+                        local
+                    })
                 })
-            })
-            .collect();
-        for handle in handles {
-            // Per-item panics are caught inside `run_one`, so a worker
-            // thread dying is a should-not-happen (e.g. an unwind from the
-            // telemetry layer). It is still survivable: its claimed items
-            // stay `None` and the recovery pass below re-runs them.
-            match handle.join() {
-                Ok(local) => {
-                    for (i, v) in local {
-                        out[i] = Some(v);
+                .collect();
+            for handle in handles {
+                // Per-item panics are caught inside `run_one`, so a worker
+                // thread dying is a should-not-happen (e.g. an unwind from
+                // the telemetry layer). It is still survivable: its claimed
+                // items stay `None` and the recovery pass below re-runs them.
+                match handle.join() {
+                    Ok(local) => {
+                        for (i, v) in local {
+                            slots[i] = Some(v);
+                        }
+                    }
+                    Err(_) => {
+                        if traced {
+                            yoso_trace::counter_add("pool.workers_lost", 1);
+                        }
                     }
                 }
-                Err(_) => {
+            }
+        });
+        if let Some(t_map) = t_map {
+            yoso_trace::counter_add(
+                "pool.thread_ns",
+                nanos_since(t_map).saturating_mul(threads as u64),
+            );
+        }
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| match slot {
+                Some(v) => v,
+                // Respawn path: the item's worker died before reporting.
+                None => {
                     if traced {
-                        yoso_trace::counter_add("pool.workers_lost", 1);
+                        yoso_trace::counter_add("pool.items_recovered", 1);
                     }
+                    run_one(i, map_salt, traced, &f)
                 }
-            }
-        }
-    });
-    if let Some(t_map) = t_map {
-        yoso_trace::counter_add(
-            "pool.thread_ns",
-            nanos_since(t_map).saturating_mul(threads as u64),
-        );
-    }
-    out.into_iter()
-        .enumerate()
-        .map(|(i, slot)| match slot {
-            Some(v) => v,
-            // Respawn path: the item's worker died before reporting.
-            None => {
-                if traced {
-                    yoso_trace::counter_add("pool.items_recovered", 1);
-                }
-                run_one(i, map_salt, cfg, traced, &f)
-            }
-        })
-        .collect()
-}
-
-/// Like [`parallel_map`], but returns a typed [`PoolError`] for the
-/// first failed item (lowest index) instead of panicking. Uses the
-/// default [`SupervisorConfig`] retry budget.
-///
-/// # Errors
-///
-/// [`PoolError::ItemPanicked`] / [`PoolError::ItemTimedOut`] when an
-/// item exhausts its retry budget.
-pub fn try_parallel_map<T, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>, PoolError>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = Vec::with_capacity(n);
-    for (index, outcome) in supervised_map(n, threads, &SupervisorConfig::default(), f)
+            })
+            .collect()
+    };
+    results
         .into_iter()
-        .enumerate()
-    {
-        match outcome {
-            ItemOutcome::Ok(v) | ItemOutcome::Retried { value: v, .. } => out.push(v),
-            ItemOutcome::Panicked { attempts, message } => {
-                return Err(PoolError::ItemPanicked {
-                    index,
-                    attempts,
-                    message,
-                });
-            }
-            ItemOutcome::TimedOut { attempts, elapsed } => {
-                return Err(PoolError::ItemTimedOut {
-                    index,
-                    attempts,
-                    elapsed,
-                });
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Applies `f` to `0..n` across worker threads and returns results in
-/// index order. `threads == 0` uses the global default
-/// ([`num_threads`]); otherwise exactly the requested count (clamped to
-/// `n`) is used.
-///
-/// Runs on the supervised path: a panicking item is retried (default
-/// [`SupervisorConfig`] budget) before the panic is re-raised, so
-/// transient faults — e.g. chaos-injected worker panics — are absorbed
-/// and deterministic items converge to their fault-free values. `f`
-/// should therefore be idempotent, which every pipeline map (pure
-/// function of the item index) already is.
-///
-/// When global telemetry is on ([`yoso_trace::enabled`]) each map
-/// records `pool.maps` / `pool.items` counters, a `pool.map_wall` span,
-/// and `pool.busy_ns` / `pool.thread_ns` — total worker-loop time vs.
-/// total thread-time allocated, whose ratio is the pool utilization
-/// (below 1.0 when the tail of the join leaves finished workers idle).
-/// With telemetry off (the default) the only cost is one relaxed atomic
-/// load.
-///
-/// # Panics
-///
-/// Propagates panics from `f` once the retry budget is exhausted (the
-/// panic message of the last attempt is preserved).
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    match try_parallel_map(n, threads, f) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
+        .map(|r| r.unwrap_or_else(|msg| panic!("{msg}")))
+        .collect()
 }
 
 /// Derives the per-item RNG seed used by [`parallel_map_seeded`]:
@@ -537,46 +284,6 @@ where
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
         f(i, &mut rng)
     })
-}
-
-/// Splits `data` into contiguous chunks of `chunk_len` elements and
-/// applies `f(chunk_index, chunk)` to each, distributing chunks across
-/// workers in contiguous runs (static partitioning: uniform-cost chunks
-/// like GEMM row blocks need no stealing). Element order within a chunk
-/// is untouched, so element-wise computations are bit-exact regardless
-/// of `threads`. This is the one unsupervised primitive: it backs the
-/// inner GEMM kernels where a panic is a programming error, not a
-/// recoverable fault, and per-chunk catch/retry overhead is unwelcome.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0`; propagates panics from `f`.
-pub fn for_each_chunk_mut<T, F>(data: &mut [T], chunk_len: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let threads = resolve(threads, n_chunks);
-    if threads == 1 || n_chunks <= 1 {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-    let mut chunks: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_len).enumerate().collect();
-    let per_worker = n_chunks.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for group in chunks.chunks_mut(per_worker) {
-            let f = &f;
-            scope.spawn(move || {
-                for (i, chunk) in group.iter_mut() {
-                    f(*i, chunk);
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -620,18 +327,26 @@ mod tests {
         assert_eq!(one, eight);
         let other_seed = parallel_map_seeded(64, 8, 43, draw);
         assert_ne!(one, other_seed);
+        assert_eq!(derive_seed(1, 2), derive_seed(1, 2));
+        assert_ne!(derive_seed(1, 2), derive_seed(1, 3));
     }
 
-    #[test]
-    fn chunked_mutation_covers_all() {
-        let mut data: Vec<u64> = vec![0; 103];
-        for_each_chunk_mut(&mut data, 10, 4, |ci, chunk| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = (ci * 10 + j) as u64 + 1;
-            }
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i as u64 + 1);
+    proptest::proptest! {
+        /// The seeded map's output — including every value drawn from the
+        /// per-item RNGs — is invariant to the worker count.
+        #[test]
+        fn seeded_map_invariant_to_thread_count(
+            seed in proptest::prelude::any::<u64>(),
+            n in 0usize..64,
+        ) {
+            let run = |threads: usize| {
+                parallel_map_seeded(n, threads, seed, |i, rng| {
+                    (i, rng.random::<u64>(), rng.random_range(0.0f64..1.0))
+                })
+            };
+            let serial = run(1);
+            proptest::prop_assert_eq!(&run(2), &serial);
+            proptest::prop_assert_eq!(&run(8), &serial);
         }
     }
 
@@ -663,187 +378,66 @@ mod tests {
     }
 
     #[test]
-    fn chunked_mutation_matches_serial() {
-        let mut serial: Vec<f64> = (0..97).map(|i| i as f64).collect();
-        let mut parallel: Vec<f64> = serial.clone();
-        let body = |ci: usize, chunk: &mut [f64]| {
-            for v in chunk.iter_mut() {
-                *v = v.sin() * (ci as f64 + 1.0);
-            }
-        };
-        for_each_chunk_mut(&mut serial, 8, 1, body);
-        for_each_chunk_mut(&mut parallel, 8, 5, body);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn supervised_map_reports_ok_outcomes() {
-        let out = supervised_map(10, 4, &SupervisorConfig::default(), |i| i * 3);
-        assert_eq!(out.len(), 10);
-        for (i, o) in out.into_iter().enumerate() {
-            assert_eq!(o, ItemOutcome::Ok(i * 3));
-        }
-    }
-
-    #[test]
-    fn deterministic_panic_exhausts_budget() {
-        let cfg = SupervisorConfig {
-            max_retries: 2,
-            backoff: Duration::ZERO,
-            ..SupervisorConfig::default()
-        };
-        let out = supervised_map(4, 2, &cfg, |i| {
-            if i == 2 {
-                panic!("boom at {i}");
-            }
-            i
-        });
-        assert!(out[0].is_success() && out[1].is_success() && out[3].is_success());
-        match &out[2] {
-            ItemOutcome::Panicked { attempts, message } => {
-                assert_eq!(*attempts, 3); // initial try + 2 retries
-                assert!(message.contains("boom at 2"), "message: {message}");
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn transient_panic_is_retried_to_success() {
+    fn transient_panic_converges() {
         let tries: Vec<AtomicU32> = (0..6).map(|_| AtomicU32::new(0)).collect();
-        let cfg = SupervisorConfig {
-            max_retries: 3,
-            backoff: Duration::ZERO,
-            ..SupervisorConfig::default()
-        };
-        let out = supervised_map(6, 3, &cfg, |i| {
+        // Even items panic on their first two attempts and succeed on the
+        // last one the budget allows.
+        let out = parallel_map(6, 3, |i| {
             let attempt = tries[i].fetch_add(1, Ordering::SeqCst);
-            if i % 2 == 0 && attempt < 2 {
+            if i % 2 == 0 && attempt < MAX_RETRIES {
                 panic!("transient failure");
             }
             i * 10
         });
-        for (i, o) in out.into_iter().enumerate() {
-            assert_eq!(o.clone().into_value(), Some(i * 10));
-            if i % 2 == 0 {
-                assert_eq!(
-                    o,
-                    ItemOutcome::Retried {
-                        value: i * 10,
-                        attempts: 2
-                    }
-                );
-            } else {
-                assert_eq!(o, ItemOutcome::Ok(i * 10));
-            }
+        assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
+        for (i, t) in tries.iter().enumerate() {
+            let expected = if i % 2 == 0 { 3 } else { 1 };
+            assert_eq!(t.load(Ordering::SeqCst), expected, "item {i}");
         }
     }
 
     #[test]
-    fn deadline_overrun_times_out() {
-        let cfg = SupervisorConfig {
-            max_retries: 1,
-            backoff: Duration::ZERO,
-            backoff_max: Duration::ZERO,
-            deadline: Some(Duration::from_millis(1)),
-        };
-        let out = supervised_map(2, 2, &cfg, |i| {
-            if i == 1 {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            i
-        });
-        assert_eq!(out[0], ItemOutcome::Ok(0));
-        match &out[1] {
-            ItemOutcome::TimedOut { attempts, elapsed } => {
-                assert_eq!(*attempts, 2);
-                assert!(*elapsed >= Duration::from_millis(1));
-            }
-            other => panic!("expected TimedOut, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn try_parallel_map_returns_typed_error() {
-        let err = try_parallel_map(5, 2, |i| {
-            if i >= 3 {
-                panic!("bad item");
-            }
-            i
-        })
+    fn always_panicking_item_reraises_after_three_attempts() {
+        let tries: Vec<AtomicU32> = (0..5).map(|_| AtomicU32::new(0)).collect();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            parallel_map(5, 2, |i| {
+                tries[i].fetch_add(1, Ordering::SeqCst);
+                if i >= 3 {
+                    panic!("bad item {i}");
+                }
+                i
+            })
+        }))
         .unwrap_err();
-        match err {
-            PoolError::ItemPanicked { index, message, .. } => {
-                assert_eq!(index, 3); // lowest failing index wins
-                assert!(message.contains("bad item"));
-            }
-            other => panic!("expected ItemPanicked, got {other:?}"),
-        }
-        assert_eq!(try_parallel_map(3, 2, |i| i).unwrap(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "always broken")]
-    fn parallel_map_still_propagates_exhausted_panics() {
-        parallel_map(4, 2, |i| {
-            if i == 1 {
-                panic!("always broken");
-            }
-            i
-        });
+        // Both failing items ran out their budget; the lowest index wins.
+        assert_eq!(
+            panic_message(payload.as_ref()),
+            "pool item 3 panicked after 3 attempt(s): bad item 3"
+        );
+        let counts: Vec<u32> = tries.iter().map(|t| t.load(Ordering::SeqCst)).collect();
+        assert_eq!(counts, vec![1, 1, 1, 3, 3]);
     }
 
     #[test]
     fn chaos_injected_panics_converge_to_fault_free_values() {
+        use yoso_chaos::{FaultKind, FaultPlan, FaultRule};
         let _guard = yoso_chaos::test_lock();
-        let plan = yoso_chaos::FaultPlan::new(2024).rule(yoso_chaos::FaultRule::rate(
-            yoso_chaos::FaultKind::WorkerPanic,
-            0.4,
-        ));
-        yoso_chaos::install(&plan);
-        // Rate 0.4 with the default 2-retry budget would let ~0.4^3 of the
-        // items exhaust it; give the supervisor enough headroom that every
-        // item deterministically converges under this seed.
-        let cfg = SupervisorConfig {
-            max_retries: 10,
-            backoff: Duration::ZERO,
-            ..SupervisorConfig::default()
-        };
-        let faulted = supervised_map(64, 4, &cfg, |i| i * i);
-        let injected = yoso_chaos::injected(yoso_chaos::FaultKind::WorkerPanic);
-        yoso_chaos::disarm();
-        assert!(injected > 0, "rate 0.4 over 64 items should inject");
-        let retried = faulted
-            .iter()
-            .filter(|o| matches!(o, ItemOutcome::Retried { .. }))
-            .count();
-        assert!(retried > 0, "some items should have been retried");
-        for (i, o) in faulted.into_iter().enumerate() {
-            assert_eq!(o.into_value(), Some(i * i), "item {i} must converge");
-        }
-    }
-
-    #[test]
-    fn chaos_explicit_index_hits_that_item() {
-        let _guard = yoso_chaos::test_lock();
-        let plan = yoso_chaos::FaultPlan::new(1).rule(yoso_chaos::FaultRule::at(
-            yoso_chaos::FaultKind::WorkerPanic,
-            &[5],
-        ));
-        yoso_chaos::install(&plan);
-        let out = supervised_map(8, 2, &SupervisorConfig::default(), |i| i + 100);
-        yoso_chaos::disarm();
-        assert_eq!(
-            out[5],
-            ItemOutcome::Retried {
-                value: 105,
-                attempts: 1
-            }
-        );
-        for (i, o) in out.into_iter().enumerate() {
-            if i != 5 {
-                assert_eq!(o, ItemOutcome::Ok(i + 100));
-            }
+        let expected: Vec<usize> = (0..64).map(|i| i * i).collect();
+        // `at` indices fire on the first attempt only; a rate rule capped
+        // at two injections cannot panic one item three times either.
+        for (rule, injections) in [
+            (FaultRule::at(FaultKind::WorkerPanic, &[5, 17, 40]), 3),
+            (
+                FaultRule::rate(FaultKind::WorkerPanic, 0.4).max_faults(2),
+                2,
+            ),
+        ] {
+            yoso_chaos::install(&FaultPlan::new(2024).rule(rule));
+            let faulted = parallel_map(64, 4, |i| i * i);
+            let injected = yoso_chaos::injected(FaultKind::WorkerPanic);
+            yoso_chaos::disarm();
+            assert_eq!(injected, injections);
+            assert_eq!(faulted, expected);
         }
     }
 }

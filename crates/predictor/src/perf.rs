@@ -15,9 +15,9 @@ use yoso_persist::{ByteReader, ByteWriter, PersistError, Snapshot};
 /// [`Exact`](SurrogateKind::Exact) is the paper's O(n³) GP —
 /// most accurate, capped at `max_train` points.
 /// [`Sparse`](SurrogateKind::Sparse) is the subset-of-regressors
-/// approximation ([`SparseGaussianProcess`]) — O(n·m²) fit, O(m²)
-/// incremental append with no cap, built for the observation volumes a
-/// served deployment accumulates.
+/// approximation ([`SparseGaussianProcess`]) — O(n·m²) fit with no
+/// cap on the training set, built for the observation volumes a served
+/// deployment accumulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SurrogateKind {
     /// Exact GP (paper default).
@@ -62,13 +62,6 @@ impl SurrogateGp {
         match self {
             SurrogateGp::Exact(gp) => gp.fit(xs, ys),
             SurrogateGp::Sparse(gp) => gp.fit(xs, ys),
-        }
-    }
-
-    fn append(&mut self, xs: &[Vec<f64>], ys: &[f64]) -> Result<(), FitError> {
-        match self {
-            SurrogateGp::Exact(gp) => gp.append(xs, ys),
-            SurrogateGp::Sparse(gp) => gp.append(xs, ys),
         }
     }
 
@@ -210,38 +203,6 @@ impl PerfPredictor {
     /// The surrogate backend this predictor was trained with.
     pub fn kind(&self) -> SurrogateKind {
         self.latency_gp.kind()
-    }
-
-    /// Folds new simulator samples into both regressors **incrementally**
-    /// — a Cholesky rank-append per point for the exact GP
-    /// ([`GaussianProcess::append`]), a rank-1 normal-equation update for
-    /// the sparse one ([`SparseGaussianProcess::append`]) — with the same
-    /// log-space target transform. Hyper-parameters stay frozen at the
-    /// values selected by the last full [`train`](Self::train).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FitError`] on dimension mismatch or if a fallback
-    /// refactorization fails.
-    pub fn append_samples(&mut self, samples: &[PerfSample]) -> Result<(), FitError> {
-        if samples.is_empty() {
-            return Ok(());
-        }
-        let xs: Vec<Vec<f64>> = samples
-            .iter()
-            .map(|s| design_features(&s.point, &self.skeleton))
-            .collect();
-        let y_lat: Vec<f64> = samples
-            .iter()
-            .map(|s| s.latency_ms.max(1e-12).ln())
-            .collect();
-        let y_eer: Vec<f64> = samples
-            .iter()
-            .map(|s| s.energy_mj.max(1e-12).ln())
-            .collect();
-        self.latency_gp.append(&xs, &y_lat)?;
-        self.energy_gp.append(&xs, &y_eer)?;
-        Ok(())
     }
 
     /// Predicts `(latency_ms, energy_mj)` for a design point.
@@ -403,41 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn appended_samples_improve_accuracy() {
-        let skeleton = NetworkSkeleton::tiny();
-        let sim = Simulator::fast();
-        let all = collect_samples(&skeleton, &sim, 300, 20);
-        let test = collect_samples(&skeleton, &sim, 60, 21);
-        let mut pred = PerfPredictor::train(&skeleton, &all[..100]).unwrap();
-        let (lat_small, _) = pred.evaluate(&test);
-        pred.append_samples(&all[100..]).unwrap();
-        let (lat_big, eer_big) = pred.evaluate(&test);
-        // More data through the incremental path must not hurt, and
-        // accuracy stays in the same band as a from-scratch train.
-        assert!(
-            lat_big <= lat_small * 1.1,
-            "append degraded MAPE: {lat_small} -> {lat_big}"
-        );
-        assert!(lat_big < 0.15, "latency MAPE {lat_big}");
-        assert!(eer_big < 0.15, "energy MAPE {eer_big}");
-    }
-
-    #[test]
-    fn append_empty_is_noop() {
-        let skeleton = NetworkSkeleton::tiny();
-        let sim = Simulator::fast();
-        let train = collect_samples(&skeleton, &sim, 80, 22);
-        let mut pred = PerfPredictor::train(&skeleton, &train).unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
-        let p = DesignPoint::random(&mut rng);
-        let before = pred.predict(&p);
-        pred.append_samples(&[]).unwrap();
-        let after = pred.predict(&p);
-        assert_eq!(before.0.to_bits(), after.0.to_bits());
-        assert_eq!(before.1.to_bits(), after.1.to_bits());
-    }
-
-    #[test]
     fn restored_predictor_predicts_bit_identically() {
         let skeleton = NetworkSkeleton::tiny();
         let sim = Simulator::fast();
@@ -458,23 +384,16 @@ mod tests {
     }
 
     #[test]
-    fn sparse_backend_is_accurate_and_appendable() {
+    fn sparse_backend_is_accurate() {
         let skeleton = NetworkSkeleton::tiny();
         let sim = Simulator::fast();
-        let train = collect_samples(&skeleton, &sim, 300, 30);
+        let train = collect_samples(&skeleton, &sim, 200, 30);
         let test = collect_samples(&skeleton, &sim, 60, 31);
-        let mut pred =
-            PerfPredictor::train_with(&skeleton, &train[..200], SurrogateKind::Sparse).unwrap();
+        let pred = PerfPredictor::train_with(&skeleton, &train, SurrogateKind::Sparse).unwrap();
         assert_eq!(pred.kind(), SurrogateKind::Sparse);
         let (lat_err, eer_err) = pred.evaluate(&test);
         assert!(lat_err < 0.2, "sparse latency MAPE {lat_err}");
         assert!(eer_err < 0.2, "sparse energy MAPE {eer_err}");
-        pred.append_samples(&train[200..]).unwrap();
-        let (lat_more, _) = pred.evaluate(&test);
-        assert!(
-            lat_more <= lat_err * 1.1,
-            "sparse append degraded MAPE: {lat_err} -> {lat_more}"
-        );
     }
 
     #[test]

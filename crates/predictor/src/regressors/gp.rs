@@ -25,9 +25,7 @@ pub struct GaussianProcess {
     std: Standardizer,
     ystd: Option<ScalarStandardizer>,
     xs: Vec<Vec<f64>>,
-    /// Standardized targets of the factorized points — kept so
-    /// [`GaussianProcess::append`] can recompute `alpha` and
-    /// [`GaussianProcess::refit`] can refactorize without the raw data.
+    /// Standardized targets of the factorized points.
     ys_z: Vec<f64>,
     alpha: Vec<f64>,
     chol: Option<Matrix>,
@@ -234,142 +232,6 @@ impl GaussianProcess {
     /// Number of training points currently factorized.
     pub fn train_len(&self) -> usize {
         self.xs.len()
-    }
-
-    /// Appends new training points by **extending the cached Cholesky
-    /// factor** instead of refactorizing.
-    ///
-    /// For each point this costs one `O(n²)` triangular solve plus one new
-    /// factor row, versus the `O(n³)` full refactorization — the win that
-    /// makes search-time model updates (score → simulate → refine) cheap.
-    /// Hyper-parameters and both standardizers are **frozen** at their
-    /// values from the last full [`fit`](Regressor::fit): a grid-search
-    /// re-selection would change the kernel and invalidate the cached
-    /// factor, so hyper-parameter changes must go through `fit`.
-    ///
-    /// Falls back to a frozen-hyperparameter [`refit`](Self::refit) if a
-    /// pivot goes non-positive (numerically rank-deficient append).
-    /// Points beyond the `max_train` cap are dropped, mirroring `fit`'s
-    /// subsampling cap. On an unfitted model this delegates to `fit`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FitError`] on dimension mismatch or if the fallback
-    /// refactorization fails.
-    pub fn append(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), FitError> {
-        if yoso_chaos::armed() && yoso_chaos::should_fault(yoso_chaos::FaultKind::GpFitFail) {
-            return Err(FitError::Numerical(
-                "chaos: injected GP append failure".into(),
-            ));
-        }
-        if self.ystd.is_none() || self.chol.is_none() {
-            return self.fit(x, y);
-        }
-        validate(x, y)?;
-        let ystd = self.ystd.expect("checked above");
-        let room = self.max_train.saturating_sub(self.xs.len());
-        let take = x.len().min(room);
-        if yoso_trace::enabled() {
-            yoso_trace::counter_add("gp.appends", 1);
-            yoso_trace::counter_add("gp.append_points", take as u64);
-            if take < x.len() {
-                yoso_trace::counter_add("gp.append_dropped", (x.len() - take) as u64);
-            }
-        }
-        if take == 0 {
-            return Ok(());
-        }
-        let noise_eff = self.noise.max(1e-6);
-        // Match kernel_matrix's arithmetic exactly (multiply by the
-        // precomputed reciprocal) so the appended rows carry the same
-        // kernel values a refactorization would see.
-        let inv = 1.0 / (2.0 * self.lengthscale * self.lengthscale);
-        let n0 = self.xs.len();
-        let nn = n0 + take;
-        let old = self.chol.take().expect("checked above");
-        let mut l = Matrix::zeros(nn, nn);
-        for i in 0..n0 {
-            for j in 0..=i {
-                l[(i, j)] = old[(i, j)];
-            }
-        }
-        for (idx, (xj, &yj)) in x[..take].iter().zip(&y[..take]).enumerate() {
-            let q = self.xs.len(); // grows as points land
-            let xq = self.std.transform(xj);
-            // Cross-kernel row against every point already in the factor,
-            // then forward-substitute within the leading q×q block. The
-            // arithmetic order matches what `cholesky` would do for this
-            // row, so incremental and full factors agree to rounding.
-            let mut v: Vec<f64> = (0..q)
-                .map(|i| (-sq_dist(&xq, &self.xs[i]) * inv).exp())
-                .collect();
-            for i in 0..q {
-                let mut sum = v[i];
-                for t in 0..i {
-                    sum -= l[(i, t)] * v[t];
-                }
-                v[i] = sum / l[(i, i)];
-            }
-            let pivot = (1.0 + noise_eff) - v.iter().map(|t| t * t).sum::<f64>();
-            if pivot <= 0.0 {
-                // Rank-deficient append: land this and every remaining
-                // point, then refactorize from scratch with frozen
-                // hyper-parameters.
-                if yoso_trace::enabled() {
-                    yoso_trace::counter_add("gp.append_fallbacks", 1);
-                }
-                for (xr, &yr) in x[idx..take].iter().zip(&y[idx..take]) {
-                    self.xs.push(self.std.transform(xr));
-                    self.ys_z.push(ystd.transform(yr));
-                }
-                return self.refit();
-            }
-            for (t, vt) in v.iter().enumerate() {
-                l[(q, t)] = *vt;
-            }
-            l[(q, q)] = pivot.sqrt();
-            self.xs.push(xq);
-            self.ys_z.push(ystd.transform(yj));
-        }
-        // One pair of O(n²) triangular solves re-derives alpha for the
-        // grown training set.
-        self.alpha = l.solve_lower_transpose(&l.solve_lower(&self.ys_z));
-        self.chol = Some(l);
-        Ok(())
-    }
-
-    /// Full refactorization over the current training set with **frozen**
-    /// hyper-parameters and standardizers (no grid search) — the
-    /// apples-to-apples baseline that [`append`](Self::append) is
-    /// benchmarked against, and its fallback when an appended pivot is
-    /// numerically unusable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FitError`] if the kernel matrix is not positive definite.
-    pub fn refit(&mut self) -> Result<(), FitError> {
-        if yoso_trace::enabled() {
-            yoso_trace::counter_add("gp.full_refits", 1);
-        }
-        let k = Self::kernel_matrix(&self.xs, self.lengthscale, self.noise.max(1e-6));
-        let l = k
-            .cholesky()
-            .map_err(|e| FitError::Numerical(e.to_string()))?;
-        self.alpha = l.solve_lower_transpose(&l.solve_lower(&self.ys_z));
-        self.chol = Some(l);
-        Ok(())
-    }
-
-    /// Test-only baseline: land raw points into the training set (same
-    /// standardization `append` applies) without touching the factor, so
-    /// a follow-up [`refit`](Self::refit) is the from-scratch comparison.
-    #[cfg(test)]
-    fn append_for_test_raw(&mut self, x: &[Vec<f64>], y: &[f64]) {
-        let ystd = self.ystd.expect("fitted");
-        for (xj, &yj) in x.iter().zip(y) {
-            self.xs.push(self.std.transform(xj));
-            self.ys_z.push(ystd.transform(yj));
-        }
     }
 }
 
@@ -614,75 +476,6 @@ mod tests {
         assert_eq!(gp.predict_batch(&[vec![1.0, 2.0]]), vec![0.0]);
     }
 
-    /// Incremental Cholesky appends must agree with a frozen-parameter
-    /// full refactorization to 1e-8 — means, variances, and the factor
-    /// itself.
-    #[test]
-    fn incremental_append_matches_full_refit() {
-        let (xs, ys) = smooth_data(260, 20);
-        // Fit on the first 100, then append the rest in chunks of 40.
-        let mut gp = GaussianProcess::default_rbf();
-        gp.fit(&xs[..100], &ys[..100]).unwrap();
-        let mut full = gp.clone();
-        for start in (100..260).step_by(40) {
-            let end = (start + 40).min(260);
-            gp.append(&xs[start..end], &ys[start..end]).unwrap();
-            // Baseline strategy: land the same points, refactorize fully.
-            full.append_for_test_raw(&xs[start..end], &ys[start..end]);
-            full.refit().unwrap();
-        }
-        assert_eq!(gp.train_len(), 260);
-        assert_eq!(full.train_len(), 260);
-        let la = gp.chol.as_ref().unwrap();
-        let lb = full.chol.as_ref().unwrap();
-        for (a, b) in la.data().iter().zip(lb.data()) {
-            assert!((a - b).abs() < 1e-8, "factor entries {a} vs {b}");
-        }
-        let (tx, _) = smooth_data(40, 21);
-        for x in &tx {
-            let (ma, va) = gp.predict_with_variance(x);
-            let (mb, vb) = full.predict_with_variance(x);
-            assert!((ma - mb).abs() < 1e-8, "mean {ma} vs {mb}");
-            assert!((va - vb).abs() < 1e-8, "var {va} vs {vb}");
-        }
-    }
-
-    #[test]
-    fn append_on_unfitted_model_fits() {
-        let (xs, ys) = smooth_data(60, 22);
-        let mut gp = GaussianProcess::default_rbf();
-        gp.append(&xs, &ys).unwrap();
-        assert_eq!(gp.train_len(), 60);
-        let preds = gp.predict(&xs);
-        assert!(r2(&preds, &ys) > 0.9);
-    }
-
-    #[test]
-    fn append_respects_max_train_cap() {
-        let (xs, ys) = smooth_data(120, 23);
-        let mut gp = GaussianProcess::default_rbf().with_max_train(80);
-        gp.fit(&xs[..60], &ys[..60]).unwrap();
-        gp.append(&xs[60..], &ys[60..]).unwrap();
-        assert_eq!(gp.train_len(), 80, "points beyond the cap are dropped");
-        // Still consistent: alpha/chol/xs all sized together.
-        let _ = gp.predict_with_variance(&xs[0]);
-    }
-
-    /// A duplicated training point makes the appended pivot collapse
-    /// toward the noise floor; the append must survive (directly or via
-    /// the refit fallback) and keep predicting.
-    #[test]
-    fn append_duplicate_points_stays_finite() {
-        let (xs, ys) = smooth_data(50, 24);
-        let mut gp = GaussianProcess::with_hyperparams(1.0, 1e-4);
-        gp.fit(&xs, &ys).unwrap();
-        let dup_x: Vec<Vec<f64>> = vec![xs[0].clone(), xs[0].clone(), xs[0].clone()];
-        let dup_y = vec![ys[0], ys[0], ys[0]];
-        gp.append(&dup_x, &dup_y).unwrap();
-        let (m, v) = gp.predict_with_variance(&xs[0]);
-        assert!(m.is_finite() && v.is_finite() && v > 0.0);
-    }
-
     /// Batch-variance API must agree exactly with the per-point path —
     /// they share one code path by construction.
     #[test]
@@ -710,26 +503,24 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrips_appended_state() {
+    fn snapshot_roundtrips_fitted_state() {
         use yoso_persist::{ByteReader, ByteWriter};
         let (xs, ys) = smooth_data(120, 27);
         let mut gp = GaussianProcess::default_rbf();
-        gp.fit(&xs[..80], &ys[..80]).unwrap();
-        gp.append(&xs[80..], &ys[80..]).unwrap();
+        gp.fit(&xs, &ys).unwrap();
         let mut w = ByteWriter::new();
         gp.snapshot(&mut w);
         let bytes = w.into_bytes();
-        let mut back = GaussianProcess::restore(&mut ByteReader::new(&bytes)).unwrap();
-        let (tx, tys) = smooth_data(20, 28);
+        let back = GaussianProcess::restore(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(back.train_len(), gp.train_len());
+        assert_eq!(back.ys_z, gp.ys_z);
+        let (tx, _) = smooth_data(20, 28);
         for x in &tx {
             let (m0, v0) = gp.predict_with_variance(x);
             let (m1, v1) = back.predict_with_variance(x);
             assert_eq!(m0.to_bits(), m1.to_bits());
             assert_eq!(v0.to_bits(), v1.to_bits());
         }
-        // The restored model can keep appending (ys_z round-tripped).
-        back.append(&tx, &tys).unwrap();
-        assert_eq!(back.train_len(), gp.train_len() + tx.len());
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //! var(q)   = σ² · k_m(q)ᵀ · A⁻¹ · k_m(q)
 //! ```
 //!
-//! Fit costs O(n·m²), prediction O(m) per query, and
-//! [`append`](SparseGaussianProcess::append) is a rank-1 Cholesky update
-//! of `A` per point — O(m²), independent of how many observations have
-//! ever been absorbed. The price is the usual SoR caveat: predictive
+//! Fit costs O(n·m²) and prediction O(m) per query, with no cap on the
+//! training set. The price is the usual SoR caveat: predictive
 //! variance *decays* away from the inducing set instead of reverting to
 //! the prior, so this model is for mean prediction at scale, not for
 //! exploration bonuses far outside the data.
@@ -51,11 +49,11 @@ pub struct SparseGaussianProcess {
     inducing: Vec<Vec<f64>>,
     /// Cholesky factor of `A = σ²·(K_mm + jitter·I) + K_mn·K_nm`.
     chol_a: Option<Matrix>,
-    /// `b = K_mn · y_z`, maintained incrementally by `append`.
+    /// `b = K_mn · y_z`.
     b: Vec<f64>,
-    /// `w = A⁻¹ · b`, re-derived after every fit/append.
+    /// `w = A⁻¹ · b`.
     w: Vec<f64>,
-    /// Observations absorbed so far (unbounded — nothing is dropped).
+    /// Observations fitted (unbounded — nothing is dropped).
     n_train: usize,
     lengthscale: f64,
     noise: f64,
@@ -110,7 +108,7 @@ impl SparseGaussianProcess {
         self.noise
     }
 
-    /// Observations absorbed so far (fit + appends; nothing is dropped).
+    /// Observations fitted (nothing is dropped).
     pub fn train_len(&self) -> usize {
         self.n_train
     }
@@ -128,13 +126,6 @@ impl SparseGaussianProcess {
     /// inducing set.
     fn k_inducing(&self, xz: &[f64]) -> Vec<f64> {
         self.inducing.iter().map(|z| self.kernel(xz, z)).collect()
-    }
-
-    /// Recomputes `w = A⁻¹ b` from the current factor — two O(m²)
-    /// triangular solves.
-    fn refresh_weights(&mut self) {
-        let l = self.chol_a.as_ref().expect("fitted");
-        self.w = l.solve_lower_transpose(&l.solve_lower(&self.b));
     }
 
     /// Standardized-space mean and variance for one standardized query.
@@ -221,70 +212,6 @@ impl SparseGaussianProcess {
             .collect()
     }
 
-    /// Absorbs new training points with a rank-1 Cholesky update of `A`
-    /// per point — O(m²) each, no cap, nothing dropped.
-    ///
-    /// Hyper-parameters, both standardizers, and the **inducing set** are
-    /// frozen at their values from the last full [`fit`](Regressor::fit);
-    /// re-selecting any of them would invalidate the cached factor, so
-    /// those changes must go through `fit`. On an unfitted model this
-    /// delegates to `fit`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FitError`] on dimension mismatch (or the injected chaos
-    /// fault).
-    pub fn append(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), FitError> {
-        if yoso_chaos::armed() && yoso_chaos::should_fault(yoso_chaos::FaultKind::GpFitFail) {
-            return Err(FitError::Numerical(
-                "chaos: injected sparse GP append failure".into(),
-            ));
-        }
-        if self.ystd.is_none() || self.chol_a.is_none() {
-            return self.fit(x, y);
-        }
-        validate(x, y)?;
-        if yoso_trace::enabled() {
-            yoso_trace::counter_add("sparse_gp.appends", 1);
-            yoso_trace::counter_add("sparse_gp.append_points", x.len() as u64);
-        }
-        let ystd = self.ystd.expect("checked above");
-        let mut l = self.chol_a.take().expect("checked above");
-        for (xj, &yj) in x.iter().zip(y) {
-            let xz = self.std.transform(xj);
-            let k = self.k_inducing(&xz);
-            let yz = ystd.transform(yj);
-            for (bi, ki) in self.b.iter_mut().zip(&k) {
-                *bi += ki * yz;
-            }
-            chol_rank1_update(&mut l, k);
-            self.n_train += 1;
-        }
-        self.chol_a = Some(l);
-        self.refresh_weights();
-        Ok(())
-    }
-
-    /// Test-only baseline: rebuilds `A` and `b` from scratch over the
-    /// given *complete* raw training set with frozen hyper-parameters,
-    /// standardizers, and inducing set — the from-scratch comparison the
-    /// rank-1 `append` path is validated against.
-    #[cfg(test)]
-    fn refit_from_raw(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), FitError> {
-        let ystd = self.ystd.expect("fitted");
-        let xs_z = self.std.transform_all(x);
-        let ys_z: Vec<f64> = y.iter().map(|&v| ystd.transform(v)).collect();
-        let (a, b) = self.build_normal_equations(&xs_z, &ys_z);
-        let l = a
-            .cholesky()
-            .map_err(|e| FitError::Numerical(e.to_string()))?;
-        self.chol_a = Some(l);
-        self.b = b;
-        self.n_train = x.len();
-        self.refresh_weights();
-        Ok(())
-    }
-
     /// Forms `A = σ²·(K_mm + jitter·I) + K_mn·K_nm` and `b = K_mn·y`
     /// from standardized data, streaming one training column at a time
     /// (the n×m cross-kernel matrix is never materialized).
@@ -327,26 +254,6 @@ impl SparseGaussianProcess {
     }
 }
 
-/// In-place rank-1 Cholesky update: given lower-triangular `L` with
-/// `L·Lᵀ = A`, rewrites it so `L·Lᵀ = A + x·xᵀ`. Positive updates are
-/// unconditionally stable (every pivot grows), so this never fails —
-/// unlike the exact GP's incremental row append, which can hit a
-/// non-positive pivot and fall back to a refactorization.
-fn chol_rank1_update(l: &mut Matrix, mut x: Vec<f64>) {
-    let m = x.len();
-    for k in 0..m {
-        let lkk = l[(k, k)];
-        let r = (lkk * lkk + x[k] * x[k]).sqrt();
-        let c = r / lkk;
-        let s = x[k] / lkk;
-        l[(k, k)] = r;
-        for i in k + 1..m {
-            l[(i, k)] = (l[(i, k)] + s * x[i]) / c;
-            x[i] = c * x[i] - s * l[(i, k)];
-        }
-    }
-}
-
 impl Default for SparseGaussianProcess {
     fn default() -> Self {
         Self::default_rbf()
@@ -354,7 +261,7 @@ impl Default for SparseGaussianProcess {
 }
 
 // The full fitted state is persisted so a restored model predicts
-// bit-identically and can keep appending (b and the factor round-trip).
+// bit-identically.
 impl Snapshot for SparseGaussianProcess {
     fn snapshot(&self, w: &mut ByteWriter) {
         w.put_f64s(&self.lengthscale_factors);
@@ -478,10 +385,11 @@ impl Regressor for SparseGaussianProcess {
         let l = a
             .cholesky()
             .map_err(|e| FitError::Numerical(e.to_string()))?;
+        // `w = A⁻¹ b`: two O(m²) triangular solves.
+        self.w = l.solve_lower_transpose(&l.solve_lower(&b));
         self.chol_a = Some(l);
         self.b = b;
         self.n_train = x.len();
-        self.refresh_weights();
         Ok(())
     }
 
@@ -594,82 +502,6 @@ mod tests {
         assert_eq!(gp.noise(), 1e-3);
     }
 
-    /// Rank-1 appends must agree with rebuilding the normal equations
-    /// from scratch over the full data (frozen inducing set and
-    /// hyper-parameters) — the sparse analogue of the exact GP's
-    /// incremental-vs-refit invariant.
-    #[test]
-    fn rank1_append_matches_full_rebuild() {
-        let (xs, ys) = smooth_data(300, 20);
-        let mut inc = SparseGaussianProcess::default_rbf().with_max_inducing(64);
-        inc.fit(&xs[..150], &ys[..150]).unwrap();
-        let mut full = inc.clone();
-        for start in (150..300).step_by(50) {
-            let end = (start + 50).min(300);
-            inc.append(&xs[start..end], &ys[start..end]).unwrap();
-        }
-        full.refit_from_raw(&xs, &ys).unwrap();
-        assert_eq!(inc.train_len(), 300);
-        assert_eq!(full.train_len(), 300);
-        let (tx, _) = smooth_data(40, 21);
-        // Rank-1 updates and the from-scratch normal equations accumulate
-        // rounding differently through the ill-conditioned m×m system, so
-        // the comparison is relative, not bit-exact.
-        for x in &tx {
-            let (mi, vi) = inc.predict_with_variance(x);
-            let (mf, vf) = full.predict_with_variance(x);
-            assert!(
-                (mi - mf).abs() < 1e-3 * mf.abs().max(1.0),
-                "mean {mi} vs {mf}"
-            );
-            // Variance (a quadratic form through A⁻¹) amplifies the
-            // conditioning worst of all, and the two paths also differ
-            // in when the trace-scaled ridge was frozen — a ~10% drift
-            // on these ~1e-5-magnitude variances is numerical, not a
-            // logic divergence.
-            assert!(
-                (vi - vf).abs() < 0.15 * vf.abs().max(1e-9),
-                "var {vi} vs {vf}"
-            );
-        }
-    }
-
-    #[test]
-    fn append_on_unfitted_model_fits() {
-        let (xs, ys) = smooth_data(60, 22);
-        let mut gp = SparseGaussianProcess::default_rbf();
-        gp.append(&xs, &ys).unwrap();
-        assert_eq!(gp.train_len(), 60);
-        let preds = gp.predict(&xs);
-        assert!(r2(&preds, &ys) > 0.9);
-    }
-
-    /// Unlike the exact GP (which drops points past `max_train`), the
-    /// sparse model absorbs everything — that is its reason to exist.
-    #[test]
-    fn append_has_no_cap() {
-        let (xs, ys) = smooth_data(500, 23);
-        let mut gp = SparseGaussianProcess::default_rbf().with_max_inducing(32);
-        gp.fit(&xs[..100], &ys[..100]).unwrap();
-        gp.append(&xs[100..], &ys[100..]).unwrap();
-        assert_eq!(gp.train_len(), 500);
-        assert_eq!(gp.inducing_len(), 32);
-        let (m, v) = gp.predict_with_variance(&xs[0]);
-        assert!(m.is_finite() && v.is_finite() && v > 0.0);
-    }
-
-    #[test]
-    fn append_duplicate_points_stays_finite() {
-        let (xs, ys) = smooth_data(50, 24);
-        let mut gp = SparseGaussianProcess::with_hyperparams(1.0, 1e-4);
-        gp.fit(&xs, &ys).unwrap();
-        let dup_x: Vec<Vec<f64>> = vec![xs[0].clone(), xs[0].clone(), xs[0].clone()];
-        let dup_y = vec![ys[0], ys[0], ys[0]];
-        gp.append(&dup_x, &dup_y).unwrap();
-        let (m, v) = gp.predict_with_variance(&xs[0]);
-        assert!(m.is_finite() && v.is_finite() && v > 0.0);
-    }
-
     #[test]
     fn batch_paths_match_per_point() {
         let (xs, ys) = smooth_data(150, 25);
@@ -687,24 +519,23 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrips_appended_state() {
+    fn snapshot_roundtrips_fitted_state() {
         use yoso_persist::{ByteReader, ByteWriter};
         let (xs, ys) = smooth_data(120, 27);
         let mut gp = SparseGaussianProcess::default_rbf().with_max_inducing(48);
-        gp.fit(&xs[..80], &ys[..80]).unwrap();
-        gp.append(&xs[80..], &ys[80..]).unwrap();
+        gp.fit(&xs, &ys).unwrap();
         let mut w = ByteWriter::new();
         gp.snapshot(&mut w);
         let bytes = w.into_bytes();
-        let mut back = SparseGaussianProcess::restore(&mut ByteReader::new(&bytes)).unwrap();
-        let (tx, tys) = smooth_data(20, 28);
+        let back = SparseGaussianProcess::restore(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(back.train_len(), gp.train_len());
+        assert_eq!(back.b, gp.b);
+        let (tx, _) = smooth_data(20, 28);
         for x in &tx {
             let (m0, v0) = gp.predict_with_variance(x);
             let (m1, v1) = back.predict_with_variance(x);
             assert_eq!(m0.to_bits(), m1.to_bits());
             assert_eq!(v0.to_bits(), v1.to_bits());
         }
-        back.append(&tx, &tys).unwrap();
-        assert_eq!(back.train_len(), gp.train_len() + tx.len());
     }
 }

@@ -1320,7 +1320,15 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         let log = log.clone();
         let iterations_done = iterations_done.clone();
         let shared = shared.clone();
+        let resumed = checkpoint.is_some();
         Trace::forward(move |line: &str| {
+            // The log already opens with the first run's `search_start`.
+            // A resumed session's second one would shift the sequence
+            // number of every later event, and clients resume a
+            // subscription by sequence number.
+            if resumed && line.starts_with("{\"event\":\"search_start\"") {
+                return;
+            }
             if is_search_iter(line) {
                 iterations_done.fetch_add(1, Ordering::Relaxed);
             }

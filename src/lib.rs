@@ -74,9 +74,8 @@ pub use yoso_trace as trace;
 /// crash-safe resume, plus the telemetry handle
 /// ([`Trace`](yoso_trace::Trace)) and event type
 /// ([`Event`](yoso_trace::Event)) it emits. The fault-tolerance surface
-/// rides along: chaos plans ([`FaultPlan`](yoso_chaos::FaultPlan)),
-/// supervised-pool outcomes ([`ItemOutcome`](yoso_pool::ItemOutcome))
-/// and the quarantine ledger
+/// rides along: chaos plans ([`FaultPlan`](yoso_chaos::FaultPlan)) and
+/// the quarantine ledger
 /// ([`QuarantineEntry`](yoso_core::search::QuarantineEntry)). The
 /// serving surface rides along too: the daemon
 /// ([`Server`](yoso_server::Server) / [`ServerConfig`](yoso_server::ServerConfig)),
@@ -113,7 +112,6 @@ pub mod prelude {
     };
     pub use yoso_core::session::{SearchEvent, SearchSession, SearchSessionBuilder, Strategy};
     pub use yoso_persist::{PersistError, Snapshot, SnapshotArchive, SnapshotBuilder};
-    pub use yoso_pool::{ItemOutcome, PoolError, SupervisorConfig};
     pub use yoso_server::journal::{Journal, Record, RecoveredJob, Recovery};
     pub use yoso_server::proto::{
         ErrorCode, JobDone, JobSpec, JobState, JobStatus, ParetoEntry, ParetoFront, Reply, Request,

@@ -5,6 +5,7 @@
 //! must never allocate proportionally to an attacker-declared size.
 
 use proptest::prelude::*;
+use rand::split_mix_64;
 use yoso::prelude::*;
 use yoso_server::proto::{self, ProtoError};
 
@@ -70,16 +71,6 @@ fn valid_frames() -> Vec<String> {
         .collect()
 }
 
-/// SplitMix64, driving the seed-derived byte mutations below (the
-/// vendored proptest generates scalars; structure comes from the seed).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -90,12 +81,12 @@ proptest! {
     fn mutated_frames_decode_or_fail_typed(seed in any::<u64>()) {
         let corpus = valid_frames();
         let mut s = seed;
-        let pick = (splitmix64(&mut s) % corpus.len() as u64) as usize;
+        let pick = (split_mix_64(&mut s) % corpus.len() as u64) as usize;
         let mut bytes = corpus[pick].clone().into_bytes();
-        let edits = 1 + (splitmix64(&mut s) % 7) as usize;
+        let edits = 1 + (split_mix_64(&mut s) % 7) as usize;
         for _ in 0..edits {
-            let at = (splitmix64(&mut s) % bytes.len() as u64) as usize;
-            bytes[at] = (splitmix64(&mut s) & 0xFF) as u8;
+            let at = (split_mix_64(&mut s) % bytes.len() as u64) as usize;
+            bytes[at] = (split_mix_64(&mut s) & 0xFF) as u8;
         }
         let line = String::from_utf8_lossy(&bytes).into_owned();
         let _: Result<Request, ProtoError> = Request::parse(&line);
@@ -106,7 +97,7 @@ proptest! {
     #[test]
     fn random_bytes_fail_typed(seed in any::<u64>(), len in 0usize..512) {
         let mut s = seed;
-        let bytes: Vec<u8> = (0..len).map(|_| (splitmix64(&mut s) & 0xFF) as u8).collect();
+        let bytes: Vec<u8> = (0..len).map(|_| (split_mix_64(&mut s) & 0xFF) as u8).collect();
         let line = String::from_utf8_lossy(&bytes).into_owned();
         if let Err(e) = Request::parse(&line) {
             prop_assert!(matches!(

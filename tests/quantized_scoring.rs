@@ -15,43 +15,7 @@ use yoso::core::Evaluator;
 use yoso::dataset::{SynthCifar, SynthCifarConfig};
 use yoso::hypernet::{HyperNet, HyperTrainConfig};
 use yoso::prelude::Trace;
-
-/// Average ranks (1-based), ties sharing the mean of their positions.
-fn average_ranks(v: &[f64]) -> Vec<f64> {
-    let n = v.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| v[a].partial_cmp(&v[b]).unwrap());
-    let mut ranks = vec![0.0f64; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && v[idx[j + 1]] == v[idx[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &ix in &idx[i..=j] {
-            ranks[ix] = avg;
-        }
-        i = j + 1;
-    }
-    ranks
-}
-
-/// Spearman rank correlation with average-rank tie handling.
-fn spearman(a: &[f64], b: &[f64]) -> f64 {
-    let (ra, rb) = (average_ranks(a), average_ranks(b));
-    let n = ra.len() as f64;
-    let (ma, mb) = (ra.iter().sum::<f64>() / n, rb.iter().sum::<f64>() / n);
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (x, y) in ra.iter().zip(&rb) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    cov / (va.sqrt() * vb.sqrt()).max(1e-12)
-}
+use yoso_predictor::metrics::spearman;
 
 /// Int8 scoring ranks candidates like f32 scoring: Spearman rho >= 0.95
 /// across 64 random genotypes on a briefly trained tiny HyperNet.

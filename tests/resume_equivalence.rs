@@ -188,6 +188,10 @@ fn transient_faults_preserve_resume_bit_identity() {
         yoso::chaos::injected(FaultKind::WorkerPanic) > 0,
         "the panic rule must actually fire"
     );
+    assert!(
+        yoso::chaos::injected(FaultKind::SlowEval) > 0,
+        "the slow-evaluation rule must actually fire"
+    );
     assert_eq!(full, reference, "transient faults changed the outcome");
     assert_eq!(
         search_iter_lines(&full_trace),

@@ -405,6 +405,18 @@ fn journal_recovery_resumes_interrupted_jobs_byte_identically() {
         full_stream,
         "recovered job's stream diverged from the uninterrupted run"
     );
+    // Every iteration keeps its event sequence number, the position a
+    // `ResilientClient` resumes from after the crash.
+    let iter_seqs = |ls: &[String]| -> Vec<usize> {
+        (0..ls.len())
+            .filter(|&i| ls[i].starts_with("{\"event\":\"search_iter\""))
+            .collect()
+    };
+    assert_eq!(
+        iter_seqs(&lines),
+        iter_seqs(&all_lines),
+        "recovery shifted the event sequence numbers"
+    );
     let stats = client.stats().unwrap();
     assert_eq!(stats.jobs_recovered, 1);
 
